@@ -3,6 +3,7 @@
 //! ground truth, the Crommelin series is ~10⁴× cheaper).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use enprop_obs::NoopRecorder;
 use enprop_queueing::{QueueSim, MD1};
 
 fn bench_queueing(c: &mut Criterion) {
@@ -15,7 +16,7 @@ fn bench_queueing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("md1_p95_des_50k_jobs", u), &u, |b, &u| {
             b.iter(|| {
                 QueueSim::md1(0.01, u)
-                    .run(50_000, 5_000, 42)
+                    .run(50_000, 5_000, 42, &mut NoopRecorder)
                     .response_quantile(0.95)
             })
         });

@@ -3,8 +3,9 @@
 //! the benchmark configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use enprop_clustersim::{validate, ClusterSpec};
+use enprop_clustersim::{try_validate, ClusterSpec};
 use enprop_core::table4;
+use enprop_obs::NoopRecorder;
 
 fn bench_table4(c: &mut Criterion) {
     let cluster = ClusterSpec::a9_k10(4, 2);
@@ -12,7 +13,7 @@ fn bench_table4(c: &mut Criterion) {
     group.sample_size(10);
     for w in enprop_bench::workloads() {
         group.bench_with_input(BenchmarkId::from_parameter(w.name), &w, |b, w| {
-            b.iter(|| validate(w, &cluster, 3, 7));
+            b.iter(|| try_validate(w, &cluster, 3, 7, &mut NoopRecorder));
         });
     }
     group.bench_function("full_table", |b| b.iter(|| table4(2, 7)));

@@ -9,7 +9,7 @@ use enprop_explore::{
     configurations, count_configurations, evaluate_space_with, pareto_front, stream_pareto_front,
     sweet_spot, EvalOptions, EvaluatedConfig, StreamOptions, TypeSpace,
 };
-use enprop_obs::{Recorder, Track};
+use enprop_obs::{NoopRecorder, Recorder, Track};
 use enprop_workloads::{catalog, Workload};
 
 /// Evaluate a configuration space on the pool with memoized operating
@@ -337,12 +337,9 @@ pub fn trace_cmd(opts: &Opts, utilization: f64, ctx: &mut super::ObsCtx) {
     let w = super::resolve_workload(&name);
     let cluster = ClusterSpec::a9_k10(8, 2);
     let sim = ClusterSim::new(&w, &cluster);
-    let mean = sim.sample_jobs(3, opts.seed);
+    let mean = sim.sample_jobs(3, opts.seed, &mut NoopRecorder);
     let period = mean.duration * 20.0;
-    let trace = match ctx.rec.as_memory_mut() {
-        Some(m) => sim.power_trace_obs(utilization, period, opts.seed, m),
-        None => sim.power_trace(utilization, period, opts.seed),
-    };
+    let trace = sim.power_trace(utilization, period, opts.seed, &mut ctx.rec);
     println!(
         "Power trace: {name} on {} at {:.0}% load over {:.2} s\n",
         cluster.label(),

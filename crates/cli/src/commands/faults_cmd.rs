@@ -141,7 +141,7 @@ pub fn faults_cmd(
     let mut t_cursor = 0.0;
     for j in 0..fo.jobs {
         let seed = opts.seed.wrapping_add(j as u64 * 104_729);
-        match sim.run_job_under_plan_obs(&plan, &policy, seed, t_cursor, &mut ctx.rec) {
+        match sim.run_job_under_plan(&plan, &policy, seed, t_cursor, &mut ctx.rec) {
             Ok(f) => {
                 t_cursor += f.run.duration;
                 completed += 1;
@@ -211,7 +211,7 @@ pub fn faults_cmd(
     // queue and compare against the clean pool at the same offered load.
     let pool = 16;
     let clean = ClusterQueueSim::new(&sim, pool, opts.seed)?;
-    match ClusterQueueSim::with_faults_obs(&sim, pool, opts.seed, &plan, &policy, &mut ctx.rec) {
+    match ClusterQueueSim::with_faults(&sim, pool, opts.seed, &plan, &policy, &mut ctx.rec) {
         Ok(faulted) => {
             let jobs = 40_000;
             let warmup = 4_000;

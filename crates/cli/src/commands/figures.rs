@@ -266,7 +266,7 @@ fn traced_queue_probe(opts: &Opts, w: &Workload, rec: &mut SwitchRecorder) {
         timeout_factor: 2.0,
         ..RetryPolicy::standard()
     };
-    let outcome = ClusterQueueSim::with_faults_obs(&sim, 8, opts.seed, &plan, &policy, rec)
+    let outcome = ClusterQueueSim::with_faults(&sim, 8, opts.seed, &plan, &policy, rec)
         .and_then(|q| q.run_obs(0.7, 2000, 200, opts.seed, rec));
     match outcome {
         Ok(r) => diag::info(format!(

@@ -9,17 +9,8 @@
 
 use crate::run::ClusterSim;
 use enprop_faults::{EnpropError, FaultPlan, RetryPolicy};
-use enprop_obs::{NoopRecorder, Recorder, Track};
-use enprop_queueing::{exact_quantile, OnlineStats};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
-
-/// Cap on per-job trace records (spans, queue-depth gauges) emitted by an
-/// instrumented [`ClusterQueueSim::run_obs`]: queue runs simulate tens of
-/// thousands of jobs, and tracing each would swamp any viewer. Aggregates
-/// (histograms, tallies) still cover every job.
-const MAX_TRACED_QUEUE_JOBS: usize = 512;
+use enprop_obs::{NoopRecorder, Recorder};
+use enprop_queueing::{exact_quantile, ArrivalProcess, OnlineStats, QueueSim, ServiceProcess};
 
 /// Result of a dispatcher-queue simulation.
 #[derive(Debug, Clone)]
@@ -39,11 +30,12 @@ impl ClusterQueueResult {
     }
 }
 
-/// Dispatcher queue simulation over simulated cluster service times.
+/// Dispatcher queue over simulated cluster service times: builds the
+/// service pool and hands it to the [`QueueSim`] DES as an
+/// [`ServiceProcess::Empirical`] process.
 #[derive(Debug)]
 pub struct ClusterQueueSim {
-    service_pool: Vec<f64>,
-    mean_service: f64,
+    service: ServiceProcess,
     /// Jobs in the pool that needed at least one retry (0 when the pool
     /// was built without a fault plan).
     retried_jobs: usize,
@@ -54,55 +46,24 @@ impl ClusterQueueSim {
     /// empirical service-time distribution. Rejects an empty pool with
     /// [`EnpropError::InvalidConfig`].
     pub fn new(sim: &ClusterSim<'_>, pool: usize, seed: u64) -> Result<Self, EnpropError> {
-        Self::new_obs(sim, pool, seed, &mut NoopRecorder)
-    }
-
-    /// [`ClusterQueueSim::new`] plus telemetry: the pooled jobs run
-    /// back-to-back from sim-time zero, each with its node spans and power
-    /// samples. Bit-identical to `new` for any `R`.
-    pub fn new_obs<R: Recorder>(
-        sim: &ClusterSim<'_>,
-        pool: usize,
-        seed: u64,
-        rec: &mut R,
-    ) -> Result<Self, EnpropError> {
-        if pool == 0 {
-            return Err(EnpropError::invalid_config(
-                "service pool must hold at least one job",
-            ));
-        }
-        let mut service_pool = Vec::with_capacity(pool);
-        let mut t0 = 0.0;
-        for i in 0..pool {
-            let d = sim
-                .run_job_obs(seed.wrapping_add(i as u64 * 104_729), t0, rec)
-                .duration;
-            service_pool.push(d);
-            t0 += d;
-        }
-        Ok(Self::from_pool(service_pool, 0))
+        Self::with_faults(
+            sim,
+            pool,
+            seed,
+            &FaultPlan::none(),
+            &RetryPolicy::standard(),
+            &mut NoopRecorder,
+        )
     }
 
     /// Like [`ClusterQueueSim::new`], but every pooled job runs under the
     /// fault plan with recovery — the dispatcher then queues jobs whose
     /// service times are inflated by re-dispatch waves, timed-out attempts
     /// and backoff. A job that exhausts its retry budget propagates the
-    /// error (size the budget for the plan's fault rate).
-    pub fn with_faults(
-        sim: &ClusterSim<'_>,
-        pool: usize,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Result<Self, EnpropError> {
-        Self::with_faults_obs(sim, pool, seed, plan, policy, &mut NoopRecorder)
-    }
-
-    /// [`ClusterQueueSim::with_faults`] plus telemetry: each pooled job's
-    /// attempts, fault instants, recovery waves and backoffs land on the
-    /// trace at its back-to-back start time. Bit-identical to
-    /// `with_faults` for any `R`.
-    pub fn with_faults_obs<R: Recorder>(
+    /// error (size the budget for the plan's fault rate). Each pooled
+    /// job's attempts, fault instants, recovery waves and backoffs land on
+    /// `rec` at its back-to-back start time.
+    pub fn with_faults<R: Recorder>(
         sim: &ClusterSim<'_>,
         pool: usize,
         seed: u64,
@@ -119,7 +80,7 @@ impl ClusterQueueSim {
         let mut retried_jobs = 0;
         let mut t0 = 0.0;
         for i in 0..pool {
-            let f = sim.run_job_under_plan_obs(
+            let f = sim.run_job_under_plan(
                 plan,
                 policy,
                 seed.wrapping_add(i as u64 * 104_729),
@@ -132,21 +93,15 @@ impl ClusterQueueSim {
             service_pool.push(f.run.duration);
             t0 += f.run.duration;
         }
-        Ok(Self::from_pool(service_pool, retried_jobs))
-    }
-
-    fn from_pool(service_pool: Vec<f64>, retried_jobs: usize) -> Self {
-        let mean_service = service_pool.iter().sum::<f64>() / service_pool.len() as f64;
-        ClusterQueueSim {
-            service_pool,
-            mean_service,
+        Ok(ClusterQueueSim {
+            service: ServiceProcess::Empirical { pool: service_pool },
             retried_jobs,
-        }
+        })
     }
 
     /// Mean simulated service time, seconds.
     pub fn mean_service(&self) -> f64 {
-        self.mean_service
+        self.service.mean()
     }
 
     /// Pooled jobs that needed at least one retry.
@@ -167,12 +122,8 @@ impl ClusterQueueSim {
         self.run_obs(utilization, jobs, warmup, seed, &mut NoopRecorder)
     }
 
-    /// [`ClusterQueueSim::run`] plus telemetry on the dispatcher track:
-    /// a `dispatch.queue_depth` gauge and a sojourn (`job`) span per
-    /// measured arrival (the first [`MAX_TRACED_QUEUE_JOBS`] of them),
-    /// plus `queue.wait_s` / `queue.response_s` histograms and a
-    /// `dispatch.jobs` tally over *every* measured arrival. Bit-identical
-    /// to `run` for any `R` — instrumentation draws no random numbers.
+    /// [`ClusterQueueSim::run`] recording the dispatcher telemetry of
+    /// [`QueueSim::run`] into `rec`.
     pub fn run_obs<R: Recorder>(
         &self,
         utilization: f64,
@@ -187,60 +138,14 @@ impl ClusterQueueSim {
                 format!("must be in (0, 1) for a stable queue, got {utilization}"),
             ));
         }
-        let lambda = utilization / self.mean_service;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut clock = 0.0f64;
-        let mut server_free = 0.0f64;
-        let mut response = OnlineStats::new();
-        let mut samples = Vec::with_capacity(jobs);
-        let mut busy = 0.0;
-        let mut first = 0.0;
-        // Pending departure times of jobs still in the system (arrival-time
-        // queue-depth bookkeeping; only maintained when recording).
-        let mut in_system: VecDeque<f64> = VecDeque::new();
-        let mut traced = 0usize;
-        for i in 0..jobs + warmup {
-            clock += -(1.0 - rng.gen::<f64>()).ln() / lambda;
-            let service = self.service_pool[rng.gen_range(0..self.service_pool.len())];
-            let start = clock.max(server_free);
-            server_free = start + service;
-            if R::ACTIVE {
-                while in_system.front().is_some_and(|&d| d <= clock) {
-                    in_system.pop_front();
-                }
-                if i >= warmup {
-                    rec.tally("dispatch.jobs", 1);
-                    rec.observe("queue.wait_s", start - clock);
-                    rec.observe("queue.response_s", server_free - clock);
-                    if traced < MAX_TRACED_QUEUE_JOBS {
-                        traced += 1;
-                        rec.gauge(
-                            clock,
-                            Track::Dispatcher,
-                            "dispatch.queue_depth",
-                            in_system.len() as f64,
-                        );
-                        rec.span_begin(clock, Track::Dispatcher, "job", i as u64);
-                        rec.span_end(server_free, Track::Dispatcher, "job", i as u64);
-                    }
-                }
-                in_system.push_back(server_free);
-            }
-            if i >= warmup {
-                if i == warmup {
-                    first = clock;
-                }
-                let r = server_free - clock;
-                response.push(r);
-                samples.push(r);
-                busy += service;
-            }
-        }
-        let horizon = (server_free - first).max(f64::MIN_POSITIVE);
+        let arrivals = ArrivalProcess::Poisson {
+            rate: utilization / self.mean_service(),
+        };
+        let r = QueueSim::new(arrivals, self.service.clone()).run(jobs, warmup, seed, rec);
         Ok(ClusterQueueResult {
-            response,
-            samples,
-            utilization: (busy / horizon).min(1.0),
+            response: r.response,
+            samples: r.response_samples,
+            utilization: r.measured_utilization,
         })
     }
 }
@@ -268,6 +173,29 @@ mod tests {
         let p95_md1 = md1.response_time_quantile(0.95);
         let rel = (p95_sim - p95_md1).abs() / p95_md1;
         assert!(rel < 0.10, "p95 off by {rel}: {p95_sim} vs {p95_md1}");
+    }
+
+    /// FNV-1a digest of the response-sample bits of dispatcher runs for EP
+    /// and x264 on two Figs. 11/12 mixes at three loads. Recorded before
+    /// the dispatcher loop moved into `QueueSim`; it must never drift.
+    #[test]
+    fn dispatcher_fingerprint_is_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for name in ["EP", "x264"] {
+            let w = catalog::by_name(name).unwrap();
+            for (a9, k10) in [(32, 12), (25, 7)] {
+                let c = ClusterSpec::a9_k10(a9, k10);
+                let q = ClusterQueueSim::new(&ClusterSim::new(&w, &c), 16, 7).unwrap();
+                for u in [0.3, 0.7, 0.9] {
+                    for s in q.run(u, 20_000, 2_000, 11).unwrap().samples {
+                        for b in s.to_bits().to_le_bytes() {
+                            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x5eee_7a66_a7f3_0de4, "fingerprint {h:#018x}");
     }
 
     #[test]
@@ -306,6 +234,23 @@ mod tests {
         let q = ClusterQueueSim::new(&sim, 4, 1).unwrap();
         assert!(q.run(0.0, 100, 10, 1).is_err());
         assert!(q.run(1.0, 100, 10, 1).is_err());
+        // Zero measured jobs is a valid, empty run.
+        assert!(q.run(0.5, 0, 10, 1).unwrap().samples.is_empty());
+    }
+
+    #[test]
+    fn recording_leaves_the_run_bit_identical() {
+        use enprop_obs::MemoryRecorder;
+        let w = catalog::by_name("EP").unwrap();
+        let c = ClusterSpec::a9_k10(4, 2);
+        let q = ClusterQueueSim::new(&ClusterSim::new(&w, &c), 8, 1).unwrap();
+        let mut rec = MemoryRecorder::new();
+        let traced = q.run_obs(0.7, 1_000, 100, 3, &mut rec).unwrap();
+        let plain = q.run(0.7, 1_000, 100, 3).unwrap();
+        // Responses are positive and finite, so `==` is bit equality.
+        assert_eq!(plain.samples, traced.samples);
+        assert_eq!(rec.counters()["dispatch.jobs"], 1_000);
+        assert_eq!(rec.histograms()["queue.response_s"].count(), 1_000);
     }
 
     #[test]
@@ -330,17 +275,19 @@ mod tests {
             backoff_multiplier: 2.0,
             backoff_cap_s: f64::INFINITY,
         };
-        let faulted = ClusterQueueSim::with_faults(&sim, 8, 7, &plan, &policy).unwrap();
+        let faulted =
+            ClusterQueueSim::with_faults(&sim, 8, 7, &plan, &policy, &mut NoopRecorder).unwrap();
         assert!(
             faulted.mean_service() > clean.mean_service(),
             "faults must inflate service: {} vs {}",
             faulted.mean_service(),
             clean.mean_service()
         );
-        // An inert plan reproduces the clean pool exactly.
-        let inert =
-            ClusterQueueSim::with_faults(&sim, 8, 7, &FaultPlan::none(), &policy).unwrap();
-        assert_eq!(inert.mean_service(), clean.mean_service());
-        assert_eq!(inert.retried_jobs(), 0);
+        // The clean pool is exactly the fault-free job durations.
+        let pool: Vec<f64> = (0..8u64)
+            .map(|i| sim.run_job(7 + i * 104_729).duration)
+            .collect();
+        assert_eq!(clean.mean_service(), pool.iter().sum::<f64>() / 8.0);
+        assert_eq!(clean.retried_jobs(), 0);
     }
 }

@@ -39,12 +39,11 @@ pub use enprop_faults::{
     EnpropError, FaultEvent, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel, RetryPolicy,
 };
 pub use run::{
-    ClusterJobRun, ClusterSim, FaultRecord, FaultedJobRun, FaultyJobRun, Observation, PowerTrace,
+    ClusterJobRun, ClusterSim, FaultRecord, FaultedJobRun, Observation, PowerTrace,
 };
 pub use split::{
     rate_matched_split, try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit,
 };
 pub use validate::{
-    model_prediction, try_model_prediction, try_validate, try_validate_obs, validate,
-    ModelPrediction, ValidationReport,
+    model_prediction, try_model_prediction, try_validate, ModelPrediction, ValidationReport,
 };

@@ -5,7 +5,7 @@
 use crate::cluster::ClusterSpec;
 use crate::split::{try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit};
 use enprop_faults::{EnpropError, FaultKind, FaultPlan, RetryPolicy};
-use enprop_obs::{EventKind, MemoryRecorder, NoopRecorder, Recorder, TraceEvent, Track};
+use enprop_obs::{NoopRecorder, Recorder, Track};
 use enprop_workloads::Workload;
 use enprop_nodesim::NodeSim;
 
@@ -93,14 +93,10 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Simulate every node's share of one job individually (the common
-    /// kernel of [`ClusterSim::run_job`] and the fault-injected runs).
-    fn node_runs(&self, seed: u64) -> Vec<NodeRunData> {
-        self.node_runs_obs(seed, 0.0, &mut NoopRecorder)
-    }
-
-    /// [`ClusterSim::node_runs`] with every node placed at sim-time `t0`
-    /// on its own `Track::Node` (spans, DVFS counters, power samples).
-    fn node_runs_obs<R: Recorder>(&self, seed: u64, t0: f64, rec: &mut R) -> Vec<NodeRunData> {
+    /// kernel of [`ClusterSim::run_job`] and the fault-injected runs), with
+    /// every node placed at sim-time `t0` on its own `Track::Node` (spans,
+    /// DVFS counters, power samples).
+    fn node_runs<R: Recorder>(&self, seed: u64, t0: f64, rec: &mut R) -> Vec<NodeRunData> {
         let ops = self.workload.ops_per_job;
         let mut node_runs = Vec::new();
         for (gi, g) in self.cluster.groups.iter().enumerate() {
@@ -165,7 +161,7 @@ impl<'a> ClusterSim<'a> {
     /// Run one job of `ops_per_job` operations; every node simulated
     /// individually with its own seed.
     pub fn run_job(&self, seed: u64) -> ClusterJobRun {
-        self.compose(&self.node_runs(seed))
+        self.run_job_obs(seed, 0.0, &mut NoopRecorder)
     }
 
     /// [`ClusterSim::run_job`] plus telemetry: per-node `node_run` spans
@@ -173,7 +169,7 @@ impl<'a> ClusterSim<'a> {
     /// cluster-track `job` span. Bit-identical to `run_job` for any `R` —
     /// instrumentation draws no random numbers.
     pub fn run_job_obs<R: Recorder>(&self, seed: u64, t0: f64, rec: &mut R) -> ClusterJobRun {
-        let run = self.compose(&self.node_runs_obs(seed, t0, rec));
+        let run = self.compose(&self.node_runs(seed, t0, rec));
         if R::ACTIVE && run.duration > 0.0 {
             rec.span_begin(t0, Track::Cluster, "job", seed);
             rec.span_end(t0 + run.duration, Track::Cluster, "job", seed);
@@ -182,25 +178,14 @@ impl<'a> ClusterSim<'a> {
         run
     }
 
-    /// Average of `n` simulated jobs (distinct seeds).
-    pub fn sample_jobs(&self, n: usize, seed: u64) -> ClusterJobRun {
-        self.sample_jobs_obs(n, seed, 0.0, &mut NoopRecorder)
-    }
-
-    /// [`ClusterSim::sample_jobs`] plus telemetry: the `n` jobs are laid
-    /// out back-to-back starting at sim-time `t0`.
-    pub fn sample_jobs_obs<R: Recorder>(
-        &self,
-        n: usize,
-        seed: u64,
-        t0: f64,
-        rec: &mut R,
-    ) -> ClusterJobRun {
+    /// Average of `n` simulated jobs (distinct seeds), laid out
+    /// back-to-back from sim-time zero on `rec`.
+    pub fn sample_jobs(&self, n: usize, seed: u64, rec: &mut impl Recorder) -> ClusterJobRun {
         assert!(n > 0);
         let mut dur = 0.0;
         let mut energy = 0.0;
         for i in 0..n {
-            let r = self.run_job_obs(seed.wrapping_add(i as u64 * 7919), t0 + dur, rec);
+            let r = self.run_job_obs(seed.wrapping_add(i as u64 * 7919), dur, rec);
             dur += r.duration;
             energy += r.energy;
         }
@@ -221,7 +206,7 @@ impl<'a> ClusterSim<'a> {
             "utilization must be in [0, 1]"
         );
         assert!(period > 0.0);
-        let mean = self.sample_jobs(5, seed);
+        let mean = self.sample_jobs(5, seed, &mut NoopRecorder);
         // enprop-lint: allow(float-int-cast) -- ⌊u·T/T_job⌋ is the paper's admitted-job count; the busy ≤ period assert below bounds it
         let jobs = (target_utilization * period / mean.duration).floor() as u64;
         let busy = jobs as f64 * mean.duration;
@@ -249,7 +234,7 @@ impl<'a> ClusterSim<'a> {
     /// at full load so utilization quantization stays below 1%.
     pub fn power_samples(&self, points: usize, seed: u64) -> Vec<(f64, f64)> {
         assert!(points >= 2);
-        let mean = self.sample_jobs(5, seed);
+        let mean = self.sample_jobs(5, seed, &mut NoopRecorder);
         let period = mean.duration * 100.0;
         (0..=points)
             .map(|i| {
@@ -310,7 +295,7 @@ mod tests {
         let w = catalog::by_name("EP").unwrap();
         let c = ClusterSpec::a9_k10(8, 2);
         let sim = ClusterSim::new(&w, &c);
-        let mean = sim.sample_jobs(5, 1);
+        let mean = sim.sample_jobs(5, 1, &mut NoopRecorder);
         let period = mean.duration * 200.0;
         let half = sim.observe(0.5, period, 1);
         let full = sim.observe(0.99, period, 1);
@@ -323,7 +308,7 @@ mod tests {
         let w = catalog::by_name("x264").unwrap();
         let c = ClusterSpec::a9_k10(4, 2);
         let sim = ClusterSim::new(&w, &c);
-        let mean = sim.sample_jobs(3, 9);
+        let mean = sim.sample_jobs(3, 9, &mut NoopRecorder);
         let period = mean.duration * 10.0; // small interval: coarse quanta
         let o = sim.observe(0.55, period, 9);
         assert!(o.utilization <= 0.55 + 1e-9);
@@ -335,8 +320,8 @@ mod tests {
         let w = catalog::by_name("EP").unwrap();
         let c1 = ClusterSpec::a9_k10(4, 0);
         let c2 = ClusterSpec::a9_k10(8, 0);
-        let s1 = ClusterSim::new(&w, &c1).sample_jobs(5, 1);
-        let s2 = ClusterSim::new(&w, &c2).sample_jobs(5, 1);
+        let s1 = ClusterSim::new(&w, &c1).sample_jobs(5, 1, &mut NoopRecorder);
+        let s2 = ClusterSim::new(&w, &c2).sample_jobs(5, 1, &mut NoopRecorder);
         // Twice the nodes: half the time, similar busy energy (same total
         // work, double idle-rate but half duration).
         assert!((s1.duration / s2.duration - 2.0).abs() < 0.1);
@@ -373,56 +358,36 @@ impl PowerTrace {
     pub fn mean_power(&self) -> f64 {
         self.energy() / self.period
     }
-
-    /// Rebuild a step-function trace from a recorded event stream: every
-    /// `cluster.power_w` gauge becomes one `(start_time, watts)` segment.
-    /// This is the *only* trace constructor — the recorder's power stream
-    /// is the single source of truth for the trace shape.
-    pub fn from_power_events(events: &[TraceEvent], period: f64) -> PowerTrace {
-        let segments = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Gauge { value } if e.name == "cluster.power_w" => Some((e.t_s, value)),
-                _ => None,
-            })
-            .collect();
-        PowerTrace { segments, period }
-    }
 }
 
 impl ClusterSim<'_> {
     /// A power trace of one observation interval at the target
     /// utilization: jobs run back-to-back from t = 0 (each a busy segment
-    /// at its measured average power), then the cluster idles.
-    pub fn power_trace(&self, target_utilization: f64, period: f64, seed: u64) -> PowerTrace {
-        let mut rec = MemoryRecorder::new();
-        self.power_trace_obs(target_utilization, period, seed, &mut rec)
-    }
-
-    /// [`ClusterSim::power_trace`] recording into `rec`: each job emits a
-    /// `cluster.power_w` gauge (its average draw) plus the usual per-node
-    /// spans and power samples, the idle tail emits one final gauge, and
-    /// the returned trace is rebuilt from that gauge stream via
-    /// [`PowerTrace::from_power_events`].
-    pub fn power_trace_obs(
+    /// at its measured average power), then the cluster idles. Every
+    /// segment is also a `cluster.power_w` gauge on `rec`, next to the
+    /// usual per-node spans and power samples.
+    pub fn power_trace(
         &self,
         target_utilization: f64,
         period: f64,
         seed: u64,
-        rec: &mut MemoryRecorder,
+        rec: &mut impl Recorder,
     ) -> PowerTrace {
         let o = self.observe(target_utilization, period, seed);
-        let start = rec.events().len();
+        let mut segments = Vec::new();
         let mut t = 0.0;
         for j in 0..o.jobs {
             let run = self.run_job_obs(seed.wrapping_add(j * 7919), t, rec);
-            rec.gauge(t, Track::Cluster, "cluster.power_w", run.energy / run.duration);
+            let w = run.energy / run.duration;
+            rec.gauge(t, Track::Cluster, "cluster.power_w", w);
+            segments.push((t, w));
             t += run.duration;
         }
         if t < period {
             rec.gauge(t, Track::Cluster, "cluster.power_w", self.cluster.idle_w());
+            segments.push((t, self.cluster.idle_w()));
         }
-        PowerTrace::from_power_events(&rec.events()[start..], period)
+        PowerTrace { segments, period }
     }
 }
 
@@ -436,10 +401,10 @@ mod trace_tests {
         let w = catalog::by_name("EP").unwrap();
         let c = ClusterSpec::a9_k10(4, 2);
         let sim = ClusterSim::new(&w, &c);
-        let mean = sim.sample_jobs(5, 3);
+        let mean = sim.sample_jobs(5, 3, &mut NoopRecorder);
         let period = mean.duration * 50.0;
         let o = sim.observe(0.6, period, 3);
-        let trace = sim.power_trace(0.6, period, 3);
+        let trace = sim.power_trace(0.6, period, 3, &mut NoopRecorder);
         // The observation uses the 5-job average; the trace simulates each
         // job individually — agreement within the job-to-job jitter.
         let rel = (trace.energy() - o.energy).abs() / o.energy;
@@ -452,7 +417,7 @@ mod trace_tests {
         let w = catalog::by_name("EP").unwrap();
         let c = ClusterSpec::a9_k10(2, 1);
         let sim = ClusterSim::new(&w, &c);
-        let trace = sim.power_trace(0.0, 5.0, 1);
+        let trace = sim.power_trace(0.0, 5.0, 1, &mut NoopRecorder);
         assert_eq!(trace.segments.len(), 1);
         assert_eq!(trace.segments[0], (0.0, c.idle_w()));
         assert!((trace.energy() - 5.0 * c.idle_w()).abs() < 1e-9);
@@ -463,8 +428,8 @@ mod trace_tests {
         let w = catalog::by_name("RSA-2048").unwrap();
         let c = ClusterSpec::a9_k10(4, 2);
         let sim = ClusterSim::new(&w, &c);
-        let mean = sim.sample_jobs(3, 9);
-        let trace = sim.power_trace(0.5, mean.duration * 20.0, 9);
+        let mean = sim.sample_jobs(3, 9, &mut NoopRecorder);
+        let trace = sim.power_trace(0.5, mean.duration * 20.0, 9, &mut NoopRecorder);
         let idle = c.idle_w();
         let busy_segments = trace.segments.len() - 1;
         assert!(busy_segments >= 9, "got {busy_segments}");
@@ -472,147 +437,25 @@ mod trace_tests {
             assert!(w > idle, "busy segment at {w} W vs idle {idle} W");
         }
     }
-}
-
-/// Outcome of a job run under fail-stop node faults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultyJobRun {
-    /// The composed run (including recovery re-execution).
-    pub run: ClusterJobRun,
-    /// Nodes that failed during the job.
-    pub failures: u32,
-}
-
-impl ClusterSim<'_> {
-    /// Run one job under fail-stop faults: each node independently fails
-    /// during the job with probability `p_fail`. A failed node's share is
-    /// re-executed, spread across the survivors after the main wave
-    /// completes (the scale-out recovery pattern: straggler shares are
-    /// re-dispatched). Failed nodes stop drawing dynamic power but keep
-    /// idling (fail-stop, not power-off).
-    ///
-    /// With `p_fail = 0` this is exactly [`ClusterSim::run_job`].
-    pub fn run_job_with_failures(&self, p_fail: f64, seed: u64) -> FaultyJobRun {
-        assert!((0.0..=1.0).contains(&p_fail), "probability in [0, 1]");
-        let base = self.run_job(seed);
-        if p_fail == 0.0 {
-            return FaultyJobRun {
-                run: base,
-                failures: 0,
-            };
-        }
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA11_FA11);
-
-        // Which nodes fail, and how much of their share must be redone
-        // (uniform failure instant → uniform lost fraction).
-        let mut lost_ops = 0.0;
-        let mut failures = 0u32;
-        let mut surviving_rate = 0.0;
-        for (gi, g) in self.cluster.groups.iter().enumerate() {
-            for _ in 0..g.count {
-                let share_ops = self.split.ops_frac[gi] * self.workload.ops_per_job;
-                if rng.gen::<f64>() < p_fail {
-                    failures += 1;
-                    lost_ops += share_ops * rng.gen::<f64>();
-                } else {
-                    surviving_rate += self.split.node_rate[gi];
-                }
-            }
-        }
-        if failures == 0 {
-            return FaultyJobRun {
-                run: base,
-                failures: 0,
-            };
-        }
-        assert!(
-            surviving_rate > 0.0,
-            "every node failed; the job cannot complete"
-        );
-        // Recovery wave: survivors re-execute the lost share at their
-        // aggregate rate; the cluster idles nothing during recovery.
-        let recovery_time = lost_ops / surviving_rate;
-        let recovery_power = self.cluster.idle_w()
-            + (base.energy / base.duration - self.cluster.idle_w())
-                * (surviving_rate / self.split.cluster_rate);
-        FaultyJobRun {
-            run: ClusterJobRun {
-                duration: base.duration + recovery_time,
-                energy: base.energy + recovery_time * recovery_power,
-                ops: base.ops,
-            },
-            failures,
-        }
-    }
-}
-
-#[cfg(test)]
-mod failure_tests {
-    use super::*;
-    use enprop_workloads::catalog;
 
     #[test]
-    fn zero_probability_is_the_plain_run() {
+    fn recorded_power_gauges_are_the_trace() {
+        use enprop_obs::{EventKind, MemoryRecorder};
         let w = catalog::by_name("EP").unwrap();
         let c = ClusterSpec::a9_k10(4, 2);
         let sim = ClusterSim::new(&w, &c);
-        let f = sim.run_job_with_failures(0.0, 7);
-        assert_eq!(f.failures, 0);
-        assert_eq!(f.run, sim.run_job(7));
-    }
-
-    #[test]
-    fn failures_cost_time_and_energy() {
-        let w = catalog::by_name("blackscholes").unwrap();
-        let c = ClusterSpec::a9_k10(8, 4);
-        let sim = ClusterSim::new(&w, &c);
-        let base = sim.run_job(3);
-        // p = 1: every node fails somewhere mid-job — but then no
-        // survivors exist, so use p large but < 1 and a seed that yields
-        // both failures and survivors.
-        let f = sim.run_job_with_failures(0.5, 3);
-        assert!(f.failures > 0, "seed should produce failures");
-        assert!(f.run.duration > base.duration);
-        assert!(f.run.energy > base.energy);
-    }
-
-    #[test]
-    fn failure_cost_grows_with_probability() {
-        let w = catalog::by_name("EP").unwrap();
-        let c = ClusterSpec::a9_k10(16, 4);
-        let sim = ClusterSim::new(&w, &c);
-        // Average across seeds to smooth the Bernoulli noise.
-        let avg = |p: f64| -> f64 {
-            (0..20)
-                .map(|s| sim.run_job_with_failures(p, s).run.duration)
-                .sum::<f64>()
-                / 20.0
-        };
-        let lo = avg(0.05);
-        let hi = avg(0.4);
-        assert!(hi > lo, "duration must grow with failure rate: {lo} vs {hi}");
-    }
-
-    #[test]
-    #[should_panic(expected = "every node failed")]
-    fn total_failure_is_rejected() {
-        let w = catalog::by_name("EP").unwrap();
-        let c = ClusterSpec::a9_k10(1, 0);
-        let sim = ClusterSim::new(&w, &c);
-        // With one node and p = 1 the job can never finish.
-        let _ = sim.run_job_with_failures(1.0, 1);
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let w = catalog::by_name("EP").unwrap();
-        let c = ClusterSpec::a9_k10(8, 2);
-        let sim = ClusterSim::new(&w, &c);
-        let a = sim.run_job_with_failures(0.3, 9);
-        let b = sim.run_job_with_failures(0.3, 9);
-        assert_eq!(a, b);
+        let mut rec = MemoryRecorder::new();
+        let traced = sim.power_trace(0.5, 2.0, 4, &mut rec);
+        assert_eq!(traced, sim.power_trace(0.5, 2.0, 4, &mut NoopRecorder));
+        let gauges: Vec<(f64, f64)> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Gauge { value } if e.name == "cluster.power_w" => Some((e.t_s, value)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gauges, traced.segments);
     }
 }
 
@@ -687,23 +530,14 @@ impl ClusterSim<'_> {
     /// a result bit-identical to [`ClusterSim::run_job`].
     ///
     /// Deterministic: same `(plan, policy, seed)` ⇒ same result and trace.
-    pub fn run_job_under_plan(
-        &self,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        seed: u64,
-    ) -> Result<FaultedJobRun, EnpropError> {
-        self.run_job_under_plan_obs(plan, policy, seed, 0.0, &mut NoopRecorder)
-    }
-
-    /// [`ClusterSim::run_job_under_plan`] plus telemetry, starting at
-    /// sim-time `t0`: a cluster-track `job` span over the whole window,
-    /// one `attempt` span per dispatch, fault instants on the struck
-    /// node's track (named by [`FaultKind::label`]), `recovery` spans with
-    /// the degraded-split rate fraction, `backoff` spans, and a
-    /// `dispatch.retries` counter. Bit-identical to the plain variant for
-    /// any `R` — instrumentation draws no random numbers.
-    pub fn run_job_under_plan_obs<R: Recorder>(
+    ///
+    /// The job starts at sim-time `t0` on `rec`: a cluster-track `job`
+    /// span over the whole window, one `attempt` span per dispatch, fault
+    /// instants on the struck node's track (named by [`FaultKind::label`]),
+    /// `recovery` spans with the degraded-split rate fraction, `backoff`
+    /// spans, and a `dispatch.retries` counter. The result is
+    /// bit-identical for any `R` — instrumentation draws no random numbers.
+    pub fn run_job_under_plan<R: Recorder>(
         &self,
         plan: &FaultPlan,
         policy: &RetryPolicy,
@@ -713,7 +547,7 @@ impl ClusterSim<'_> {
     ) -> Result<FaultedJobRun, EnpropError> {
         plan.validate()?;
         policy.validate()?;
-        let nodes = self.node_runs_obs(seed, t0, rec);
+        let nodes = self.node_runs(seed, t0, rec);
         let base = self.compose(&nodes);
         if plan.is_inert() {
             if R::ACTIVE && base.duration > 0.0 {
@@ -937,6 +771,16 @@ mod fault_plan_tests {
     use enprop_faults::{GroupFaultProfile, MtbfModel};
     use enprop_workloads::catalog;
 
+    /// One job under `plan` from sim-time zero, unrecorded.
+    fn run(
+        sim: &ClusterSim<'_>,
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+        seed: u64,
+    ) -> Result<FaultedJobRun, EnpropError> {
+        sim.run_job_under_plan(plan, policy, seed, 0.0, &mut NoopRecorder)
+    }
+
     fn sim_fixture() -> (&'static str, ClusterSpec) {
         ("EP", ClusterSpec::a9_k10(4, 2))
     }
@@ -947,9 +791,7 @@ mod fault_plan_tests {
         let w = catalog::by_name(name).unwrap();
         let sim = ClusterSim::new(&w, &c);
         for seed in [0u64, 1, 7, 99] {
-            let f = sim
-                .run_job_under_plan(&FaultPlan::none(), &RetryPolicy::standard(), seed)
-                .unwrap();
+            let f = run(&sim, &FaultPlan::none(), &RetryPolicy::standard(), seed).unwrap();
             assert_eq!(f.run, sim.run_job(seed));
             assert_eq!(f.attempts, 1);
             assert!(f.trace.is_empty());
@@ -970,9 +812,7 @@ mod fault_plan_tests {
                 kinds: vec![(1.0, FaultKind::Crash)],
             }],
         };
-        let f = sim
-            .run_job_under_plan(&plan, &RetryPolicy::standard(), 5)
-            .unwrap();
+        let f = run(&sim, &plan, &RetryPolicy::standard(), 5).unwrap();
         assert_eq!(f.crashes, 4, "all four A9 nodes crash");
         assert!(f.redispatched_ops > 0.0);
         assert!(f.run.duration > base.duration);
@@ -1000,7 +840,7 @@ mod fault_plan_tests {
         // timeout lets the attempt complete.
         let mut policy = RetryPolicy::standard();
         policy.timeout_factor = 4.0;
-        let f = sim.run_job_under_plan(&slow, &policy, 2).unwrap();
+        let f = run(&sim, &slow, &policy, 2).unwrap();
         assert_eq!(f.stragglers, 2);
         assert!(
             (f.run.duration / base.duration - 2.0).abs() < 0.05,
@@ -1017,7 +857,7 @@ mod fault_plan_tests {
                 kinds: vec![(1.0, FaultKind::Stall { duration_s: stall_s })],
             }],
         };
-        let f = sim.run_job_under_plan(&stall, &policy, 2).unwrap();
+        let f = run(&sim, &stall, &policy, 2).unwrap();
         assert_eq!(f.stalls, 4);
         assert!(
             (f.run.duration - (base.duration + stall_s)).abs() < 1e-6,
@@ -1042,9 +882,7 @@ mod fault_plan_tests {
                 kinds: vec![(1.0, FaultKind::Crash)],
             }],
         };
-        let err = sim
-            .run_job_under_plan(&plan, &RetryPolicy::standard(), 1)
-            .unwrap_err();
+        let err = run(&sim, &plan, &RetryPolicy::standard(), 1).unwrap_err();
         assert_eq!(
             err,
             EnpropError::RetryBudgetExhausted {
@@ -1078,7 +916,7 @@ mod fault_plan_tests {
             backoff_multiplier: 2.0,
             backoff_cap_s: f64::INFINITY,
         };
-        let err = sim.run_job_under_plan(&plan, &policy, 3).unwrap_err();
+        let err = run(&sim, &plan, &policy, 3).unwrap_err();
         assert!(matches!(err, EnpropError::RetryBudgetExhausted { attempts: 2, .. }));
 
         // One retry allowed and only the first attempt's schedule slows it
@@ -1100,7 +938,7 @@ mod fault_plan_tests {
             backoff_multiplier: 2.0,
             backoff_cap_s: f64::INFINITY,
         };
-        if let Ok(f) = sim.run_job_under_plan(&flaky, &policy, 3) {
+        if let Ok(f) = run(&sim, &flaky, &policy, 3) {
             if f.attempts > 1 {
                 // Each failed attempt bills the full timeout plus backoff.
                 let floor = (f.attempts - 1) as f64 * base.duration * 2.0;
@@ -1130,8 +968,8 @@ mod fault_plan_tests {
             },
             2,
         );
-        let a = sim.run_job_under_plan(&plan, &RetryPolicy::standard(), 11);
-        let b = sim.run_job_under_plan(&plan, &RetryPolicy::standard(), 11);
+        let a = run(&sim, &plan, &RetryPolicy::standard(), 11);
+        let b = run(&sim, &plan, &RetryPolicy::standard(), 11);
         assert_eq!(a, b);
     }
 
@@ -1146,13 +984,11 @@ mod fault_plan_tests {
             2,
         );
         assert!(matches!(
-            sim.run_job_under_plan(&bad_plan, &RetryPolicy::standard(), 0),
+            run(&sim, &bad_plan, &RetryPolicy::standard(), 0),
             Err(EnpropError::InvalidParameter { .. })
         ));
         let mut bad_policy = RetryPolicy::standard();
         bad_policy.timeout_factor = 0.5;
-        assert!(sim
-            .run_job_under_plan(&FaultPlan::none(), &bad_policy, 0)
-            .is_err());
+        assert!(run(&sim, &FaultPlan::none(), &bad_policy, 0).is_err());
     }
 }

@@ -6,7 +6,7 @@ use crate::cluster::ClusterSpec;
 use crate::run::ClusterSim;
 use crate::split::try_rate_matched_split;
 use enprop_faults::EnpropError;
-use enprop_obs::{NoopRecorder, Recorder};
+use enprop_obs::Recorder;
 use enprop_workloads::{SingleNodeModel, Workload};
 
 /// Analytic (friction-free) prediction for one job on a cluster — the
@@ -70,27 +70,17 @@ pub struct ValidationReport {
 
 /// Validate the model against `samples` simulated jobs on `cluster`,
 /// reporting a typed error for an empty cluster or a missing profile.
+/// The sampled jobs land on `rec` back-to-back from sim-time zero with
+/// per-node spans and power samples.
 pub fn try_validate(
     workload: &Workload,
     cluster: &ClusterSpec,
     samples: usize,
     seed: u64,
-) -> Result<ValidationReport, EnpropError> {
-    try_validate_obs(workload, cluster, samples, seed, &mut NoopRecorder)
-}
-
-/// [`try_validate`] plus telemetry: the sampled jobs run back-to-back
-/// from sim-time zero with per-node spans and power samples.
-/// Bit-identical to `try_validate` for any `R`.
-pub fn try_validate_obs<R: Recorder>(
-    workload: &Workload,
-    cluster: &ClusterSpec,
-    samples: usize,
-    seed: u64,
-    rec: &mut R,
+    rec: &mut impl Recorder,
 ) -> Result<ValidationReport, EnpropError> {
     let predicted = try_model_prediction(workload, cluster)?;
-    let sim = ClusterSim::try_new(workload, cluster)?.sample_jobs_obs(samples, seed, 0.0, rec);
+    let sim = ClusterSim::try_new(workload, cluster)?.sample_jobs(samples, seed, rec);
     Ok(ValidationReport {
         model_time: predicted.time,
         sim_time: sim.duration,
@@ -101,24 +91,11 @@ pub fn try_validate_obs<R: Recorder>(
     })
 }
 
-/// Validate the model against `samples` simulated jobs on `cluster`.
-///
-/// # Panics
-/// Panics when the cluster is empty or a profile is missing. Use
-/// [`try_validate`] for a typed error.
-pub fn validate(
-    workload: &Workload,
-    cluster: &ClusterSpec,
-    samples: usize,
-    seed: u64,
-) -> ValidationReport {
-    try_validate(workload, cluster, samples, seed).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use enprop_nodesim::Frictions;
+    use enprop_obs::NoopRecorder;
     use enprop_workloads::catalog;
 
     /// Reference validation cluster (a small lab-scale mix, like the
@@ -135,7 +112,7 @@ mod tests {
         for p in &mut w.profiles {
             p.frictions = Frictions::default();
         }
-        let r = validate(&w, &reference(), 3, 42);
+        let r = try_validate(&w, &reference(), 3, 42, &mut NoopRecorder).unwrap();
         assert!(r.time_error_pct < 1.0, "time err {}", r.time_error_pct);
         assert!(r.energy_error_pct < 1.0, "energy err {}", r.energy_error_pct);
     }
@@ -155,7 +132,7 @@ mod tests {
         ];
         for (name, t_paper, e_paper) in cases {
             let w = catalog::by_name(name).unwrap();
-            let r = validate(&w, &reference(), 5, 7);
+            let r = try_validate(&w, &reference(), 5, 7, &mut NoopRecorder).unwrap();
             assert!(
                 r.time_error_pct <= 2.0 * t_paper + 2.0,
                 "{name}: time error {:.1}% vs paper {t_paper}%",
@@ -180,7 +157,7 @@ mod tests {
         // model is an optimistic bound.
         for name in ["EP", "x264", "blackscholes"] {
             let w = catalog::by_name(name).unwrap();
-            let r = validate(&w, &reference(), 3, 1);
+            let r = try_validate(&w, &reference(), 3, 1, &mut NoopRecorder).unwrap();
             assert!(
                 r.model_time <= r.sim_time * 1.001,
                 "{name}: model {} vs sim {}",
@@ -203,12 +180,6 @@ mod tests {
         let want = w.ops_per_job / a.time + w.ops_per_job / b.time;
         assert!((rate - want).abs() / want < 1e-9);
     }
-}
-
-#[cfg(test)]
-mod scaling_tests {
-    use super::*;
-    use enprop_workloads::catalog;
 
     /// Validation errors must be stable across cluster sizes — the
     /// frictions are per-node effects, so scaling out the cluster should
@@ -218,7 +189,8 @@ mod scaling_tests {
         let w = catalog::by_name("EP").unwrap();
         let mut errors = Vec::new();
         for (a9, k10) in [(2u32, 1u32), (4, 2), (8, 4), (16, 8)] {
-            let r = validate(&w, &ClusterSpec::a9_k10(a9, k10), 3, 11);
+            let c = ClusterSpec::a9_k10(a9, k10);
+            let r = try_validate(&w, &c, 3, 11, &mut NoopRecorder).unwrap();
             errors.push(r.time_error_pct);
         }
         let min = errors.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -3,11 +3,22 @@
 //! Property-based tests for the fault-injection and recovery subsystem.
 
 use enprop_clustersim::{
-    try_rate_matched_split_surviving, ClusterSim, ClusterSpec, FaultKind, FaultPlan,
-    GroupFaultProfile, MtbfModel, RetryPolicy,
+    try_rate_matched_split_surviving, ClusterSim, ClusterSpec, EnpropError, FaultKind, FaultPlan,
+    FaultedJobRun, GroupFaultProfile, MtbfModel, RetryPolicy,
 };
+use enprop_obs::NoopRecorder;
 use enprop_workloads::catalog;
 use proptest::prelude::*;
+
+/// One job under `plan` from sim-time zero, unrecorded.
+fn run(
+    sim: &ClusterSim<'_>,
+    plan: &FaultPlan,
+    policy: &RetryPolicy,
+    seed: u64,
+) -> Result<FaultedJobRun, EnpropError> {
+    sim.run_job_under_plan(plan, policy, seed, 0.0, &mut NoopRecorder)
+}
 
 /// Nodes of a group left alive by a survival fraction.
 fn surviving(count: u32, pct: f64) -> u32 {
@@ -61,7 +72,7 @@ proptest! {
             FaultPlan::none(),
             FaultPlan::uniform(seed, GroupFaultProfile::none(), c.groups.len()),
         ] {
-            let f = sim.run_job_under_plan(&plan, &RetryPolicy::standard(), seed).unwrap();
+            let f = run(&sim, &plan, &RetryPolicy::standard(), seed).unwrap();
             prop_assert_eq!(f.run.duration.to_bits(), plain.duration.to_bits());
             prop_assert_eq!(f.run.energy.to_bits(), plain.energy.to_bits());
             prop_assert_eq!(f.attempts, 1);
@@ -119,8 +130,8 @@ proptest! {
         let sim = ClusterSim::new(&w, &c);
         let plan = FaultPlan::uniform(17, profile, c.groups.len());
         let policy = RetryPolicy::standard();
-        let a = sim.run_job_under_plan(&plan, &policy, seed);
-        let b = sim.run_job_under_plan(&plan, &policy, seed);
+        let a = run(&sim, &plan, &policy, seed);
+        let b = run(&sim, &plan, &policy, seed);
         prop_assert_eq!(a, b);
     }
 
@@ -137,7 +148,7 @@ proptest! {
         let sim = ClusterSim::new(&w, &c);
         let plan = FaultPlan::uniform(23, profile, c.groups.len());
         let plain = sim.run_job(seed);
-        if let Ok(f) = sim.run_job_under_plan(&plan, &RetryPolicy::standard(), seed) {
+        if let Ok(f) = run(&sim, &plan, &RetryPolicy::standard(), seed) {
             prop_assert!(
                 f.run.duration >= plain.duration * (1.0 - 1e-12),
                 "faulted {} < fault-free {}",

@@ -7,7 +7,7 @@ use enprop_clustersim::{
     ClusterSim, ClusterSpec, EnpropError, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel,
     RetryPolicy,
 };
-use enprop_obs::{jsonl, EventKind, MemoryRecorder, MetricsSnapshot, Track};
+use enprop_obs::{jsonl, EventKind, MemoryRecorder, MetricsSnapshot, NoopRecorder, Track};
 use enprop_workloads::catalog;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -55,7 +55,7 @@ fn record_faulted_job(
         ..RetryPolicy::standard()
     };
     let mut rec = MemoryRecorder::new();
-    match sim.run_job_under_plan_obs(&plan, &policy, seed, 0.5, &mut rec) {
+    match sim.run_job_under_plan(&plan, &policy, seed, 0.5, &mut rec) {
         Ok(_) | Err(EnpropError::RetryBudgetExhausted { .. }) => {}
         Err(e) => panic!("unexpected error: {e}"),
     }
@@ -141,9 +141,10 @@ proptest! {
     }
 
     /// Instrumentation is free of observable effects: the faulted run's
-    /// outputs are bit-identical with and without a recorder attached.
+    /// outputs are bit-identical under a `NoopRecorder` and a
+    /// `MemoryRecorder`.
     #[test]
-    fn obs_run_is_bit_identical_to_plain(
+    fn recording_leaves_the_faulted_run_bit_identical(
         name in workload_name(),
         a9 in 1u32..6,
         k10 in 0u32..3,
@@ -160,8 +161,8 @@ proptest! {
             ..RetryPolicy::standard()
         };
         let mut rec = MemoryRecorder::new();
-        let plain = sim.run_job_under_plan(&plan, &policy, seed);
-        let traced = sim.run_job_under_plan_obs(&plan, &policy, seed, 0.0, &mut rec);
+        let plain = sim.run_job_under_plan(&plan, &policy, seed, 0.0, &mut NoopRecorder);
+        let traced = sim.run_job_under_plan(&plan, &policy, seed, 0.0, &mut rec);
         match (plain, traced) {
             (Ok(p), Ok(t)) => {
                 prop_assert_eq!(p.run.duration.to_bits(), t.run.duration.to_bits());

@@ -5,6 +5,7 @@
 use enprop_clustersim::{
     model_prediction, rate_matched_split, ClusterSim, ClusterSpec,
 };
+use enprop_obs::NoopRecorder;
 use enprop_workloads::catalog;
 use proptest::prelude::*;
 
@@ -68,7 +69,7 @@ proptest! {
         let w = catalog::by_name(name).unwrap();
         let c = ClusterSpec::a9_k10(4, 2);
         let sim = ClusterSim::new(&w, &c);
-        let mean = sim.sample_jobs(3, 5);
+        let mean = sim.sample_jobs(3, 5, &mut NoopRecorder);
         let period = mean.duration * 120.0;
         let lo = sim.observe(u, period, 5);
         let hi = sim.observe(u + 0.1, period, 5);

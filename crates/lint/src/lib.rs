@@ -4,9 +4,10 @@
 //! cannot see the reproduction's two load-bearing invariants:
 //!
 //! * **bit-identical determinism** — golden JSONL traces and the
-//!   plain-vs-`_obs` bit-identity contract (DESIGN.md §10) break the
-//!   moment a sim crate reads the host clock, iterates a `HashMap`, or
-//!   grows ambient mutable state;
+//!   recorder bit-identity contract (a run's outputs do not depend on
+//!   which `Recorder` watches it, DESIGN.md §10) break the moment a sim
+//!   crate reads the host clock, iterates a `HashMap`, or grows ambient
+//!   mutable state;
 //! * **numeric fidelity** — the paper's Table 4 claims few-percent model
 //!   error, which a silent truncating cast, an f32 in an energy integral,
 //!   or a NaN-propagating sort can consume without any test failing.

@@ -69,7 +69,10 @@ impl<E> EventQueue<E> {
     /// by at most a few ULPs of rounding slack. (An earlier version used a
     /// relative epsilon of `1e-12 · max(|now|, 1)`, which at `now == 0.0`
     /// silently accepted genuinely past times down to `-1e-12`.)
-    pub fn schedule(&mut self, time: f64, event: E) {
+    ///
+    /// Tallies `nodesim.eq.scheduled` and samples the post-insert queue
+    /// depth (`nodesim.eq.depth`) on `rec`.
+    pub fn schedule<R: Recorder>(&mut self, time: f64, event: E, rec: &mut R) {
         debug_assert!(time.is_finite(), "event time must be finite");
         debug_assert!(
             time >= self.now || self.now - time <= 4.0 * f64::EPSILON * self.now.abs(),
@@ -82,35 +85,21 @@ impl<E> EventQueue<E> {
             event,
         });
         self.seq += 1;
-    }
-
-    /// [`EventQueue::schedule`] plus telemetry: tallies the scheduled-event
-    /// counter and samples the post-insert queue depth. With a
-    /// [`enprop_obs::NoopRecorder`] this monomorphizes to plain
-    /// `schedule`.
-    pub fn schedule_obs<R: Recorder>(&mut self, time: f64, event: E, rec: &mut R) {
-        self.schedule(time, event);
         if R::ACTIVE {
             rec.tally("nodesim.eq.scheduled", 1);
             rec.observe("nodesim.eq.depth", self.len() as f64);
         }
     }
 
-    /// Pop the earliest event, advancing the simulation clock to it.
-    pub fn pop(&mut self) -> Option<TimedEvent<E>> {
+    /// Pop the earliest event, advancing the simulation clock to it and
+    /// tallying `nodesim.eq.popped` on `rec`.
+    pub fn pop<R: Recorder>(&mut self, rec: &mut R) -> Option<TimedEvent<E>> {
         let ev = self.heap.pop()?;
         self.now = ev.time;
-        Some(ev)
-    }
-
-    /// [`EventQueue::pop`] plus telemetry: tallies the popped-event
-    /// counter.
-    pub fn pop_obs<R: Recorder>(&mut self, rec: &mut R) -> Option<TimedEvent<E>> {
-        let ev = self.pop();
-        if R::ACTIVE && ev.is_some() {
+        if R::ACTIVE {
             rec.tally("nodesim.eq.popped", 1);
         }
-        ev
+        Some(ev)
     }
 
     /// Current simulated time (time of the last popped event).
@@ -132,24 +121,25 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enprop_obs::NoopRecorder as Noop;
 
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(3.0, "c");
-        q.schedule(1.0, "a");
-        q.schedule(2.0, "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        q.schedule(3.0, "c", &mut Noop);
+        q.schedule(1.0, "a", &mut Noop);
+        q.schedule(2.0, "b", &mut Noop);
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop(&mut Noop).map(|e| e.event)).collect();
         assert_eq!(order, ["a", "b", "c"]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.schedule(1.0, "first");
-        q.schedule(1.0, "second");
-        q.schedule(1.0, "third");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        q.schedule(1.0, "first", &mut Noop);
+        q.schedule(1.0, "second", &mut Noop);
+        q.schedule(1.0, "third", &mut Noop);
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop(&mut Noop).map(|e| e.event)).collect();
         assert_eq!(order, ["first", "second", "third"]);
     }
 
@@ -157,11 +147,11 @@ mod tests {
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         assert_eq!(q.now(), 0.0);
-        q.schedule(5.0, ());
-        q.schedule(7.0, ());
-        q.pop();
+        q.schedule(5.0, (), &mut Noop);
+        q.schedule(7.0, (), &mut Noop);
+        q.pop(&mut Noop);
         assert_eq!(q.now(), 5.0);
-        q.pop();
+        q.pop(&mut Noop);
         assert_eq!(q.now(), 7.0);
         assert!(q.is_empty());
     }
@@ -169,42 +159,42 @@ mod tests {
     #[test]
     fn len_tracks_pending() {
         let mut q = EventQueue::new();
-        q.schedule(1.0, 1);
-        q.schedule(2.0, 2);
+        q.schedule(1.0, 1, &mut Noop);
+        q.schedule(2.0, 2, &mut Noop);
         assert_eq!(q.len(), 2);
-        q.pop();
+        q.pop(&mut Noop);
         assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn zero_delay_reschedule_is_legal_at_time_zero() {
         let mut q = EventQueue::new();
-        q.schedule(0.0, "boot");
-        q.pop();
+        q.schedule(0.0, "boot", &mut Noop);
+        q.pop(&mut Noop);
         assert_eq!(q.now(), 0.0);
         // Re-arming at exactly `now` must never trip the past-time check,
         // including at the t = 0 boundary.
-        q.schedule(0.0, "rearm");
-        assert_eq!(q.pop().map(|e| e.event), Some("rearm"));
+        q.schedule(0.0, "rearm", &mut Noop);
+        assert_eq!(q.pop(&mut Noop).map(|e| e.event), Some("rearm"));
     }
 
     #[test]
     fn zero_delay_reschedule_is_legal_after_advance() {
         let mut q = EventQueue::new();
-        q.schedule(3.5, ());
-        q.pop();
-        q.schedule(3.5, ());
+        q.schedule(3.5, (), &mut Noop);
+        q.pop(&mut Noop);
+        q.schedule(3.5, (), &mut Noop);
         assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn ulp_rounding_slack_is_tolerated() {
         let mut q = EventQueue::new();
-        q.schedule(1.0, ());
-        q.pop();
+        q.schedule(1.0, (), &mut Noop);
+        q.pop(&mut Noop);
         // One ULP below `now` — the kind of drift `a + b - b` rounding
         // produces — is accepted.
-        q.schedule(1.0 - f64::EPSILON, ());
+        q.schedule(1.0 - f64::EPSILON, (), &mut Noop);
         assert_eq!(q.len(), 1);
     }
 
@@ -213,9 +203,9 @@ mod tests {
     #[should_panic(expected = "cannot schedule into the past")]
     fn genuinely_past_time_panics_in_debug() {
         let mut q = EventQueue::new();
-        q.schedule(2.0, ());
-        q.pop();
-        q.schedule(1.9, ());
+        q.schedule(2.0, (), &mut Noop);
+        q.pop(&mut Noop);
+        q.schedule(1.9, (), &mut Noop);
     }
 
     #[test]
@@ -225,27 +215,26 @@ mod tests {
         let mut q: EventQueue<()> = EventQueue::new();
         // The old relative-epsilon check (`now - 1e-12·max(|now|,1)`)
         // silently accepted this at now == 0.0.
-        q.schedule(-1e-13, ());
+        q.schedule(-1e-13, (), &mut Noop);
     }
 
     #[test]
-    fn obs_variants_count_traffic_and_sample_depth() {
-        use enprop_obs::{MemoryRecorder, NoopRecorder};
+    fn recording_counts_traffic_without_changing_the_order() {
+        use enprop_obs::MemoryRecorder;
 
-        let mut q = EventQueue::new();
         let mut rec = MemoryRecorder::new();
-        q.schedule_obs(1.0, "a", &mut rec);
-        q.schedule_obs(2.0, "b", &mut rec);
-        while q.pop_obs(&mut rec).is_some() {}
+        let (mut plain, mut traced) = (EventQueue::new(), EventQueue::new());
+        for (t, e) in [(2.0, "b"), (1.0, "a")] {
+            plain.schedule(t, e, &mut Noop);
+            traced.schedule(t, e, &mut rec);
+        }
+        while let Some(want) = plain.pop(&mut Noop) {
+            let got = traced.pop(&mut rec).unwrap();
+            assert_eq!((want.time, want.event), (got.time, got.event));
+        }
         assert_eq!(rec.counters()["nodesim.eq.scheduled"], 2);
         assert_eq!(rec.counters()["nodesim.eq.popped"], 2);
         assert_eq!(rec.histograms()["nodesim.eq.depth"].count(), 2);
         assert_eq!(rec.histograms()["nodesim.eq.depth"].max(), Some(2.0));
-
-        // Noop path exercises the same code shape without recording.
-        let mut q2 = EventQueue::new();
-        let mut noop = NoopRecorder;
-        q2.schedule_obs(1.0, (), &mut noop);
-        assert!(q2.pop_obs(&mut noop).is_some());
     }
 }

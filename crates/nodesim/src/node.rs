@@ -268,7 +268,7 @@ impl NodeSim {
 
         let mut queue: EventQueue<Ev> = EventQueue::new();
         for core in 0..cores {
-            queue.schedule_obs(0.0, Ev::ChunkStart { core, chunk: 0 }, rec);
+            queue.schedule(0.0, Ev::ChunkStart { core, chunk: 0 }, rec);
         }
 
         let mut controller_free = 0.0f64;
@@ -277,7 +277,7 @@ impl NodeSim {
         let mut stall_time = vec![0.0f64; c];
         let mut core_done = vec![0.0f64; c];
 
-        while let Some(ev) = queue.pop_obs(rec) {
+        while let Some(ev) = queue.pop(rec) {
             let Ev::ChunkStart { core, chunk } = ev.event;
             let i = core as usize;
             let t0 = ev.time;
@@ -311,7 +311,7 @@ impl NodeSim {
             stall_time[i] += chunk_end - act_done;
 
             if chunk + 1 < CHUNKS_PER_CORE {
-                queue.schedule_obs(
+                queue.schedule(
                     chunk_end,
                     Ev::ChunkStart {
                         core,

@@ -2,6 +2,7 @@
 
 //! Property-based tests for queueing invariants.
 
+use enprop_obs::NoopRecorder;
 use enprop_queueing::{exact_quantile, QueueSim, Queue, MD1, MG1, MM1, P2Quantile};
 use proptest::prelude::*;
 
@@ -59,8 +60,8 @@ proptest! {
     /// The DES is deterministic under a fixed seed.
     #[test]
     fn des_reproducible(u in 0.1f64..0.9, seed in 0u64..1000) {
-        let a = QueueSim::md1(0.01, u).run(500, 50, seed);
-        let b = QueueSim::md1(0.01, u).run(500, 50, seed);
+        let a = QueueSim::md1(0.01, u).run(500, 50, seed, &mut NoopRecorder);
+        let b = QueueSim::md1(0.01, u).run(500, 50, seed, &mut NoopRecorder);
         prop_assert_eq!(a.response.mean(), b.response.mean());
         prop_assert_eq!(a.response_quantile(0.95), b.response_quantile(0.95));
     }

@@ -4,6 +4,9 @@
 # Build, test and lint the whole workspace (warnings are errors).
 verify: && obs-smoke perf-smoke serve-smoke resume-smoke obs-query-smoke lint-budget
     cargo build --release --workspace --offline
+    # perfbench is a workspace of its own that builds the sim crates by
+    # path; building it here catches library API changes that break it.
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
     cargo test -q --workspace --offline
     cargo clippy --workspace --all-targets --offline -- -D warnings
     cargo run --release -p enprop-lint --offline

@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
+# perfbench is a workspace of its own that builds the sim crates by path;
+# building it here catches library API changes that break it.
+echo "==> cargo build --release (perfbench)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo test"
 cargo test -q --workspace --offline
 echo "==> cargo clippy -D warnings"

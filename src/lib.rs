@@ -34,6 +34,7 @@
 //! | [`workloads`] | `enprop-workloads` | six calibrated workloads + real kernels |
 //! | [`clustersim`] | `enprop-clustersim` | cluster DES, dispatcher, validation |
 //! | [`core`] | `enprop-core` | the paper's time-energy + proportionality model |
+//! | [`obs`] | `enprop-obs` | recorders that the simulators take for telemetry |
 //! | [`explore`] | `enprop-explore` | config space, Pareto frontier, power budget |
 
 #![warn(missing_docs)]
@@ -44,6 +45,7 @@ pub use enprop_core as core;
 pub use enprop_explore as explore;
 pub use enprop_metrics as metrics;
 pub use enprop_nodesim as nodesim;
+pub use enprop_obs as obs;
 pub use enprop_queueing as queueing;
 pub use enprop_workloads as workloads;
 

@@ -67,7 +67,8 @@ fn batching_and_pooling_bracket_the_plain_dispatcher() {
 /// model, metrics, simulation validation, exploration.
 #[test]
 fn custom_workload_end_to_end() {
-    use enprop::clustersim::validate;
+    use enprop::clustersim::try_validate;
+    use enprop::obs::NoopRecorder;
     use enprop::workloads::builder::WorkloadBuilder;
     use enprop::workloads::calibration::Shape;
     use enprop::nodesim::NodeSpec;
@@ -83,7 +84,7 @@ fn custom_workload_end_to_end() {
     assert!(m.dpr > 0.0 && m.dpr < 100.0);
 
     // Friction-free by default → validation errors are tiny.
-    let report = validate(&w, &ClusterSpec::a9_k10(4, 1), 3, 1);
+    let report = try_validate(&w, &ClusterSpec::a9_k10(4, 1), 3, 1, &mut NoopRecorder).unwrap();
     assert!(report.time_error_pct < 1.0);
     assert!(report.energy_error_pct < 1.0);
 

@@ -5,6 +5,7 @@
 
 use enprop::clustersim::{ClusterQueueSim, ClusterSim};
 use enprop::metrics::SampledCurve;
+use enprop::obs::NoopRecorder;
 use enprop::prelude::*;
 
 /// The model's linear power curve tracks the simulator's measured power
@@ -65,7 +66,7 @@ fn peak_throughput_within_friction_gap() {
     let cluster = ClusterSpec::a9_k10(4, 2);
     let model = ClusterModel::new(w.clone(), cluster.clone());
     let sim = ClusterSim::new(&w, &cluster);
-    let mean = sim.sample_jobs(5, 3);
+    let mean = sim.sample_jobs(5, 3, &mut NoopRecorder);
     let sim_rate = mean.ops / mean.duration;
     let ratio = sim_rate / model.peak_throughput();
     assert!(ratio < 1.0, "simulation cannot beat the friction-free model");
