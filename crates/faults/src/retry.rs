@@ -30,7 +30,7 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// The dispatcher default: 3 retries, 3× timeout, 1 s → 2× backoff,
     /// capped at 60 s.
-    pub fn standard() -> Self {
+    pub const fn standard() -> Self {
         RetryPolicy {
             max_retries: 3,
             timeout_factor: 3.0,

@@ -1,7 +1,47 @@
-//! Serving-controller configuration: SLO, power cap, cadences and safety
-//! valves, all in one validated value.
+//! Serving-controller configuration: SLO, power cap and safety valves in
+//! one validated value, plus the fixed cadences and thresholds no run
+//! varies.
 
 use enprop_faults::{EnpropError, RetryPolicy};
+
+/// Timeout / retry / backoff policy for individual dispatches.
+pub const RETRY: RetryPolicy = RetryPolicy::standard();
+/// Control-loop cadence, seconds: p95 / power are evaluated and at most
+/// one reconfiguration decision is taken per tick.
+pub const TICK_S: f64 = 1.0;
+/// Health-check cadence, seconds: how often silent crashes are swept for
+/// (timeouts usually find them first).
+pub const HEALTH_INTERVAL_S: f64 = 0.5;
+/// How long an injected straggler keeps a node slowed, seconds (the batch
+/// simulator slows the *remainder of an attempt*; a long-running server
+/// needs a recovery horizon instead).
+pub const STRAGGLER_DURATION_S: f64 = 20.0;
+/// The controller never deactivates below this many admitted nodes.
+pub const MIN_ACTIVE_NODES: usize = 1;
+/// After the last arrival, how long the controller waits for in-flight
+/// work before force-stopping, seconds.
+pub const DRAIN_TIMEOUT_S: f64 = 120.0;
+/// Ticks to hold off further scale-*down* decisions after any
+/// reconfiguration (hysteresis; scale-ups are never delayed).
+pub const SCALE_COOLDOWN_TICKS: u32 = 5;
+/// At most this many request spans are exported (the obs layer's
+/// bounded-trace convention); accounting covers every request regardless.
+pub const TRACED_REQUESTS: u64 = 512;
+/// Relative accuracy of the controller's and the plane's quantile
+/// sketches.
+pub const OBS_ALPHA: f64 = 0.01;
+/// Windows the plane retains (memory is O(windows × sketch buckets)).
+pub const OBS_MAX_WINDOWS: usize = 128;
+/// Fast burn window, in plane windows (Prometheus-style multi-window
+/// alerting; see DESIGN.md §14).
+pub const BURN_FAST_WINDOWS: usize = 1;
+/// Slow burn window, in plane windows.
+pub const BURN_SLOW_WINDOWS: usize = 12;
+/// Burn rate above which (in both windows) the SLO alert fires and shed
+/// mode may engage.
+pub const BURN_THRESHOLD: f64 = 2.0;
+/// Fast-window burn rate below which the alert clears and shed mode exits.
+pub const BURN_EXIT: f64 = 1.0;
 
 /// Everything the [`crate::Controller`] needs besides the workload,
 /// cluster, fault plan and arrival stream.
@@ -15,71 +55,29 @@ pub struct ServeConfig {
     /// are deterministic and draw nothing; this keys the fault plan's
     /// per-window sampling).
     pub seed: u64,
-    /// Timeout / retry / backoff policy for individual dispatches.
-    pub retry: RetryPolicy,
     /// The p95 response-time objective, seconds. Breaching it triggers
     /// scale-up, then load shedding.
     pub slo_p95_s: f64,
+    /// Optional p999 response-time objective, seconds. When set, a
+    /// breached p999 counts as an SLO breach in the control loop alongside
+    /// the p95 objective.
+    pub slo_p999_s: Option<f64>,
     /// Cluster power budget, watts (`f64::INFINITY` = uncapped). Breaching
     /// it triggers DVFS brownout, then node deactivation.
     pub power_cap_w: f64,
-    /// Control-loop cadence, seconds: p95 / power are evaluated and at most
-    /// one reconfiguration decision is taken per tick.
-    pub tick_s: f64,
-    /// Health-check cadence, seconds: how often silent crashes are swept
-    /// for (timeouts usually find them first).
-    pub health_interval_s: f64,
     /// Repair time for a detected-down node, seconds (fail-stop crash →
     /// detected → repaired → re-admitted).
     pub repair_s: f64,
-    /// How long an injected straggler keeps a node slowed, seconds (the
-    /// batch simulator slows the *remainder of an attempt*; a long-running
-    /// server needs a recovery horizon instead).
-    pub straggler_duration_s: f64,
     /// Fault-sampling window, seconds: the plan's per-node event streams
     /// are materialized one window at a time for as long as serving runs.
     pub fault_window_s: f64,
     /// Admission-control bound on requests in flight (queued + executing).
     /// Arrivals beyond it are shed.
     pub max_inflight: usize,
-    /// The controller never deactivates below this many admitted nodes.
-    pub min_active_nodes: usize,
-    /// After the last arrival, how long the controller waits for in-flight
-    /// work before force-stopping, seconds.
-    pub drain_timeout_s: f64,
-    /// Livelock guard: hard ceiling on processed events (`0` = derive from
-    /// the arrival count).
-    pub max_events: u64,
-    /// Ticks to hold off further scale-*down* decisions after any
-    /// reconfiguration (hysteresis; scale-ups are never delayed).
-    pub scale_cooldown_ticks: u32,
-    /// At most this many request spans are exported (the obs layer's
-    /// bounded-trace convention); accounting covers every request
-    /// regardless.
-    pub traced_requests: u64,
-    /// Optional p999 response-time objective, seconds. When set, a
-    /// breached p999 counts as an SLO breach in the control loop alongside
-    /// the p95 objective.
-    pub slo_p999_s: Option<f64>,
     /// Observability-plane window length, virtual seconds. `0.0` disables
     /// the plane entirely (no windowed gauges, burn monitor, or energy
     /// attribution; the shed policy falls back to its raw p95 threshold).
     pub obs_window_s: f64,
-    /// Relative accuracy of the plane's quantile sketches.
-    pub obs_alpha: f64,
-    /// Windows the plane retains (memory is O(windows × sketch buckets)).
-    pub obs_max_windows: usize,
-    /// Fast burn window, in plane windows (Prometheus-style multi-window
-    /// alerting; see DESIGN.md §14).
-    pub burn_fast_windows: u32,
-    /// Slow burn window, in plane windows.
-    pub burn_slow_windows: u32,
-    /// Burn rate above which (in both windows) the SLO alert fires and
-    /// shed mode may engage.
-    pub burn_threshold: f64,
-    /// Fast-window burn rate below which the alert clears and shed mode
-    /// exits.
-    pub burn_exit: f64,
     /// Bound on the dispatcher's pending queue (requests admitted but
     /// waiting for a dispatchable node). Arrivals beyond it are shed as
     /// backpressure instead of growing the queue without bound.
@@ -94,49 +92,29 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Serving defaults: 250 ms p95 SLO, uncapped power, 1 s control tick.
+    /// Serving defaults: 250 ms p95 SLO, uncapped power, 1 s obs windows.
     pub fn new(seed: u64) -> Self {
         ServeConfig {
             seed,
-            retry: RetryPolicy::standard(),
             slo_p95_s: 0.25,
+            slo_p999_s: None,
             power_cap_w: f64::INFINITY,
-            tick_s: 1.0,
-            health_interval_s: 0.5,
             repair_s: 30.0,
-            straggler_duration_s: 20.0,
             fault_window_s: 60.0,
             max_inflight: 10_000,
-            min_active_nodes: 1,
-            drain_timeout_s: 120.0,
-            max_events: 0,
-            scale_cooldown_ticks: 5,
-            traced_requests: 512,
-            slo_p999_s: None,
             obs_window_s: 1.0,
-            obs_alpha: 0.01,
-            obs_max_windows: 128,
-            burn_fast_windows: 1,
-            burn_slow_windows: 12,
-            burn_threshold: 2.0,
-            burn_exit: 1.0,
             max_pending: 4096,
             breaker_failures: 8,
             breaker_open_s: 10.0,
         }
     }
 
-    /// Validate every field (and the embedded retry policy).
+    /// Validate every field.
     pub fn validate(&self) -> Result<(), EnpropError> {
-        self.retry.validate()?;
         for (what, v) in [
             ("slo_p95_s", self.slo_p95_s),
-            ("tick_s", self.tick_s),
-            ("health_interval_s", self.health_interval_s),
             ("repair_s", self.repair_s),
-            ("straggler_duration_s", self.straggler_duration_s),
             ("fault_window_s", self.fault_window_s),
-            ("drain_timeout_s", self.drain_timeout_s),
         ] {
             if !v.is_finite() || v <= 0.0 {
                 return Err(EnpropError::invalid_parameter(
@@ -157,12 +135,6 @@ impl ServeConfig {
                 "must be ≥ 1 (0 would shed every arrival)",
             ));
         }
-        if self.min_active_nodes == 0 {
-            return Err(EnpropError::invalid_parameter(
-                "min_active_nodes",
-                "must be ≥ 1 (the controller may never power off everything)",
-            ));
-        }
         if let Some(p999) = self.slo_p999_s {
             if !p999.is_finite() || p999 <= 0.0 {
                 return Err(EnpropError::invalid_parameter(
@@ -175,42 +147,6 @@ impl ServeConfig {
             return Err(EnpropError::invalid_parameter(
                 "obs_window_s",
                 format!("must be finite and ≥ 0 (0 = plane off), got {}", self.obs_window_s),
-            ));
-        }
-        if !self.obs_alpha.is_finite() || self.obs_alpha <= 0.0 || self.obs_alpha >= 0.5 {
-            return Err(EnpropError::invalid_parameter(
-                "obs_alpha",
-                format!("must be in (0, 0.5), got {}", self.obs_alpha),
-            ));
-        }
-        if self.obs_max_windows == 0 {
-            return Err(EnpropError::invalid_parameter(
-                "obs_max_windows",
-                "must be ≥ 1",
-            ));
-        }
-        if self.burn_fast_windows == 0 || self.burn_slow_windows == 0 {
-            return Err(EnpropError::invalid_parameter(
-                "burn windows",
-                "burn_fast_windows and burn_slow_windows must be ≥ 1",
-            ));
-        }
-        if !self.burn_threshold.is_finite() || self.burn_threshold <= 0.0 {
-            return Err(EnpropError::invalid_parameter(
-                "burn_threshold",
-                format!("must be finite and > 0, got {}", self.burn_threshold),
-            ));
-        }
-        if !self.burn_exit.is_finite()
-            || self.burn_exit <= 0.0
-            || self.burn_exit > self.burn_threshold
-        {
-            return Err(EnpropError::invalid_parameter(
-                "burn_exit",
-                format!(
-                    "must be in (0, burn_threshold = {}], got {}",
-                    self.burn_threshold, self.burn_exit
-                ),
             ));
         }
         if self.max_pending == 0 {
@@ -253,14 +189,6 @@ mod tests {
         let mut c = ServeConfig::new(1);
         c.max_inflight = 0;
         assert!(c.validate().is_err());
-
-        let mut c = ServeConfig::new(1);
-        c.min_active_nodes = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = ServeConfig::new(1);
-        c.retry.timeout_factor = 0.5;
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -272,22 +200,27 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = ServeConfig::new(1);
-        c.obs_alpha = 0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = ServeConfig::new(1);
         c.slo_p999_s = Some(0.0);
         assert!(c.validate().is_err());
         c.slo_p999_s = Some(1.0);
         assert!(c.validate().is_ok());
+    }
 
-        let mut c = ServeConfig::new(1);
-        c.burn_exit = c.burn_threshold + 1.0;
-        assert!(c.validate().is_err());
-
-        let mut c = ServeConfig::new(1);
-        c.burn_slow_windows = 0;
-        assert!(c.validate().is_err());
+    /// The fixed cadences and thresholds meet the bounds the controller
+    /// and the plane rely on (the checks `validate` applies to fields).
+    #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn constants_hold_their_invariants() {
+        assert!(RETRY.validate().is_ok());
+        for v in [TICK_S, HEALTH_INTERVAL_S, STRAGGLER_DURATION_S, DRAIN_TIMEOUT_S] {
+            assert!(v.is_finite() && v > 0.0, "{v}");
+        }
+        assert!(MIN_ACTIVE_NODES >= 1, "the controller may never power off everything");
+        assert!(OBS_ALPHA > 0.0 && OBS_ALPHA < 0.5);
+        assert!(OBS_MAX_WINDOWS >= 1);
+        assert!(BURN_FAST_WINDOWS >= 1 && BURN_SLOW_WINDOWS >= 1);
+        assert!(BURN_THRESHOLD.is_finite() && BURN_THRESHOLD > 0.0);
+        assert!(BURN_EXIT > 0.0 && BURN_EXIT <= BURN_THRESHOLD);
     }
 
     #[test]

@@ -59,7 +59,10 @@ use enprop_obs::{EnergyOutcome, QuantileSketch, Recorder, Track};
 use enprop_workloads::{SingleNodeModel, Workload};
 
 use crate::arrivals::ArrivalSource;
-use crate::config::ServeConfig;
+use crate::config::{
+    ServeConfig, BURN_EXIT, DRAIN_TIMEOUT_S, HEALTH_INTERVAL_S, MIN_ACTIVE_NODES, OBS_ALPHA, RETRY,
+    SCALE_COOLDOWN_TICKS, STRAGGLER_DURATION_S, TICK_S, TRACED_REQUESTS,
+};
 use crate::plane::{ObsPlane, WindowReport};
 use crate::report::ServeReport;
 
@@ -283,7 +286,7 @@ pub enum RunOutcome {
 pub struct Controller<'a> {
     pub(crate) cfg: &'a ServeConfig,
     plan: &'a FaultPlan,
-    topo: Option<&'a TopologyFaultPlan>,
+    pub(crate) topo: Option<&'a TopologyFaultPlan>,
     pub(crate) groups: Vec<GroupModel>,
     pub(crate) nodes: Vec<Node>,
 
@@ -367,22 +370,7 @@ impl<'a> Controller<'a> {
         source: &mut ArrivalSource,
         rec: &mut R,
     ) -> Result<ServeReport, EnpropError> {
-        Controller::run_live(workload, cluster, plan, cfg, source, rec, &mut |_| {})
-    }
-
-    /// [`Controller::run`], additionally invoking `live` with every
-    /// closed [`WindowReport`] as the plane tumbles — the `--live-report`
-    /// hook. `live` never fires when `obs_window_s == 0`.
-    pub fn run_live<R: Recorder>(
-        workload: &Workload,
-        cluster: &ClusterSpec,
-        plan: &'a FaultPlan,
-        cfg: &'a ServeConfig,
-        source: &mut ArrivalSource,
-        rec: &mut R,
-        live: &mut dyn FnMut(&WindowReport),
-    ) -> Result<ServeReport, EnpropError> {
-        let mut hooks = RunHooks { live, checkpoint: None, kill_after_events: None };
+        let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
         match Controller::run_full(workload, cluster, plan, None, cfg, source, rec, &mut hooks)? {
             RunOutcome::Completed(r) => Ok(*r),
             // Unreachable: no kill hook was installed.
@@ -393,8 +381,8 @@ impl<'a> Controller<'a> {
     }
 
     /// The full-surface entry point: correlated domain faults (`topo`),
-    /// checkpointing and the kill switch, on top of everything
-    /// [`Controller::run_live`] does.
+    /// the live window report, checkpointing and the kill switch, on top
+    /// of everything [`Controller::run`] does.
     #[allow(clippy::too_many_arguments)]
     pub fn run_full<R: Recorder>(
         workload: &Workload,
@@ -556,23 +544,12 @@ impl<'a> Controller<'a> {
             shed_mode: false,
             shed_entries: 0,
             cooldown: 0,
-            tick_sketch: QuantileSketch::new(cfg.obs_alpha),
+            tick_sketch: QuantileSketch::new(OBS_ALPHA),
             window_arrival_ops: 0.0,
-            run_sketch: QuantileSketch::new(cfg.obs_alpha),
+            run_sketch: QuantileSketch::new(OBS_ALPHA),
             resp_sum: 0.0,
-            plane: (cfg.obs_window_s > 0.0).then(|| {
-                ObsPlane::new(
-                    cfg.obs_window_s,
-                    cfg.obs_alpha,
-                    cfg.obs_max_windows,
-                    n_groups,
-                    cfg.slo_p95_s,
-                    cfg.burn_fast_windows,
-                    cfg.burn_slow_windows,
-                    cfg.burn_threshold,
-                    cfg.burn_exit,
-                )
-            }),
+            plane: (cfg.obs_window_s > 0.0)
+                .then(|| ObsPlane::new(cfg.obs_window_s, n_groups, cfg.slo_p95_s)),
             plane_next_close_s: if cfg.obs_window_s > 0.0 {
                 cfg.obs_window_s
             } else {
@@ -635,7 +612,7 @@ impl<'a> Controller<'a> {
                 self.arrivals_done = true;
                 if !self.drain_armed {
                     self.drain_armed = true;
-                    self.push(self.now + self.cfg.drain_timeout_s, EvKind::DrainDeadline);
+                    self.push(self.now + DRAIN_TIMEOUT_S, EvKind::DrainDeadline);
                 }
             }
         }
@@ -644,8 +621,8 @@ impl<'a> Controller<'a> {
     fn bootstrap<R: Recorder>(&mut self, source: &mut ArrivalSource, rec: &mut R) {
         rec.span_begin(0.0, Track::Controller, "serve.run", self.cfg.seed);
         self.schedule_next_arrival(source);
-        self.push(self.cfg.tick_s, EvKind::ControlTick);
-        self.push(self.cfg.health_interval_s, EvKind::HealthCheck);
+        self.push(TICK_S, EvKind::ControlTick);
+        self.push(HEALTH_INTERVAL_S, EvKind::HealthCheck);
         for i in 0..self.nodes.len() {
             self.push(0.0, EvKind::FaultWindow { node: i, window: 0 });
         }
@@ -657,10 +634,7 @@ impl<'a> Controller<'a> {
     /// Livelock guard: generous, scales with work actually admitted so a
     /// 10^6-request replay is fine while a same-instant event loop trips.
     fn event_budget(&self) -> u64 {
-        if self.cfg.max_events > 0 {
-            return self.cfg.max_events;
-        }
-        let cadence = self.cfg.tick_s.min(self.cfg.health_interval_s);
+        let cadence = TICK_S.min(HEALTH_INTERVAL_S);
         let recurring = (self.now / cadence) as u64 + 1;
         let windows = (self.now / self.cfg.fault_window_s) as u64 + 1;
         let per_node = (self.nodes.len() as u64) * windows * 80;
@@ -940,7 +914,7 @@ impl<'a> Controller<'a> {
                 p.on_shed();
             }
         } else {
-            let traced = id < self.cfg.traced_requests;
+            let traced = id < TRACED_REQUESTS;
             if traced {
                 rec.span_begin(self.now, Track::Dispatcher, "request", id);
             }
@@ -1036,7 +1010,7 @@ impl<'a> Controller<'a> {
         let n = &mut self.nodes[i];
         n.queue.push_back(req);
         n.queued_ops += ops;
-        let timeout = self.cfg.retry.timeout_factor * expected;
+        let timeout = RETRY.timeout_factor * expected;
         if timeout.is_finite() {
             self.push(
                 self.now + timeout,
@@ -1123,7 +1097,7 @@ impl<'a> Controller<'a> {
         {
             self.declare_down(i, rec);
         }
-        if attempt >= self.cfg.retry.max_retries {
+        if attempt >= RETRY.max_retries {
             self.shed_retry += 1;
             rec.tally("serve.shed", 1);
             if let Some(p) = &mut self.plane {
@@ -1144,7 +1118,7 @@ impl<'a> Controller<'a> {
             r.dispatch += 1;
             r.exclude = Some(i);
             r.loc = Loc::Backoff;
-            let delay = self.cfg.retry.backoff_s(r.attempt - 1);
+            let delay = RETRY.backoff_s(r.attempt - 1);
             self.retries += 1;
             rec.tally("serve.retries", 1);
             self.push(self.now + delay, EvKind::Redispatch { req });
@@ -1226,7 +1200,7 @@ impl<'a> Controller<'a> {
             FaultKind::Straggler { slowdown } => {
                 self.stragglers += 1;
                 self.advance(i);
-                let until = self.now + self.cfg.straggler_duration_s;
+                let until = self.now + STRAGGLER_DURATION_S;
                 let n = &mut self.nodes[i];
                 n.slowdown = n.slowdown.max(slowdown);
                 if until > n.slow_until {
@@ -1289,7 +1263,7 @@ impl<'a> Controller<'a> {
                 self.declare_down(i, rec);
             }
         }
-        self.push(self.now + self.cfg.health_interval_s, EvKind::HealthCheck);
+        self.push(self.now + HEALTH_INTERVAL_S, EvKind::HealthCheck);
     }
 
     /// Detection: mark `i` Down, re-route its backlog (no retry budget
@@ -1494,7 +1468,7 @@ impl<'a> Controller<'a> {
     /// so the paper's wimpy groups go dark first. Ties go to the lowest
     /// node index.
     fn park_wimpy_one<R: Recorder>(&mut self, rec: &mut R) -> bool {
-        if self.admitted_count() <= self.cfg.min_active_nodes {
+        if self.admitted_count() <= MIN_ACTIVE_NODES {
             return false;
         }
         let candidate = self
@@ -1632,11 +1606,11 @@ impl<'a> Controller<'a> {
             self.pending.len() as f64,
         );
         self.decide(power, p95, p999, rec);
-        self.tick_sketch = QuantileSketch::new(self.cfg.obs_alpha);
+        self.tick_sketch = QuantileSketch::new(OBS_ALPHA);
         self.window_arrival_ops = 0.0;
         self.cooldown = self.cooldown.saturating_sub(1);
         self.flush_pending();
-        self.push(self.now + self.cfg.tick_s, EvKind::ControlTick);
+        self.push(self.now + TICK_S, EvKind::ControlTick);
     }
 
     /// One reconfiguration decision per tick, in priority order: power cap
@@ -1661,11 +1635,11 @@ impl<'a> Controller<'a> {
         if power > self.effective_cap_w() {
             if self.in_emergency() {
                 self.emergency_escalate(rec);
-                self.cooldown = self.cfg.scale_cooldown_ticks;
+                self.cooldown = SCALE_COOLDOWN_TICKS;
                 return;
             }
             if self.dvfs_step_down(rec) || self.deactivate_one(true, rec) {
-                self.cooldown = self.cfg.scale_cooldown_ticks;
+                self.cooldown = SCALE_COOLDOWN_TICKS;
             }
             return;
         }
@@ -1677,7 +1651,7 @@ impl<'a> Controller<'a> {
             .is_some_and(|slo| p999.is_some_and(|p| p > slo));
         if over_p95 || over_p999 {
             if self.activate_one(rec) || self.dvfs_step_up(power, rec) {
-                self.cooldown = self.cfg.scale_cooldown_ticks;
+                self.cooldown = SCALE_COOLDOWN_TICKS;
                 return;
             }
             // Capacity is exhausted. With the obs plane on, shedding is
@@ -1695,7 +1669,7 @@ impl<'a> Controller<'a> {
         // left to judge by.
         if self.shed_mode {
             let recovered = match &self.plane {
-                Some(pl) => pl.burn_fast() < self.cfg.burn_exit,
+                Some(pl) => pl.burn_fast() < BURN_EXIT,
                 None => match p95 {
                     Some(p) => p < SHED_EXIT_P95_FRACTION * self.cfg.slo_p95_s,
                     None => self.inflight.is_empty(),
@@ -1715,11 +1689,11 @@ impl<'a> Controller<'a> {
         if !headroom {
             return;
         }
-        let demand = self.window_arrival_ops / self.cfg.tick_s;
+        let demand = self.window_arrival_ops / TICK_S;
         if self.capacity_after_parking_one() > demand * CAPACITY_MARGIN
             && self.deactivate_one(false, rec)
         {
-            self.cooldown = self.cfg.scale_cooldown_ticks;
+            self.cooldown = SCALE_COOLDOWN_TICKS;
         }
     }
 
@@ -1749,9 +1723,9 @@ impl<'a> Controller<'a> {
 
     /// Which Active node to park next: the one with the highest idle power
     /// (energy proportionality says park the idle-hungriest first), ties
-    /// by index. Never drops the admitted count below `min_active_nodes`.
+    /// by index. Never drops the admitted count below [`MIN_ACTIVE_NODES`].
     fn park_candidate(&self) -> Option<usize> {
-        if self.admitted_count() <= self.cfg.min_active_nodes {
+        if self.admitted_count() <= MIN_ACTIVE_NODES {
             return None;
         }
         self.nodes

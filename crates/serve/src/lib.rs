@@ -53,7 +53,7 @@ pub use chaos::{
     chaos_sweep, domain_chaos_sweep, spans_balanced, sweep_domain_plan, sweep_plan, ChaosOutcome,
     PlanOutcome,
 };
-pub use config::ServeConfig;
+pub use config::{ServeConfig, OBS_ALPHA};
 pub use controller::{
     cluster_capacity_ops_s, default_ops_per_request, Controller, RunHooks, RunOutcome,
 };

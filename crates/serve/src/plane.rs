@@ -16,12 +16,13 @@
 //! *breaches* when its response time exceeds the objective; the error
 //! budget for a p95 objective is 5 % of completions, so
 //! `burn = breach_fraction / 0.05`. The monitor alerts when **both** the
-//! fast window (last [`fast and slow window counts`](crate::ServeConfig))
-//! and the slow window burn above the threshold, and clears when the fast
-//! burn drops below the exit level. Shed requests are deliberately *not*
-//! breaches — counting them would hold shed mode on forever. Transitions
-//! emit `slo.burn` / `slo.burn.clear` instants the controller's shed
-//! policy consumes instead of its raw per-tick p95 threshold.
+//! fast window (the last [`BURN_FAST_WINDOWS`] windows) and the slow window
+//! (the last [`BURN_SLOW_WINDOWS`]) burn above [`BURN_THRESHOLD`], and
+//! clears when the fast burn drops below [`BURN_EXIT`]. Shed requests are
+//! deliberately *not* breaches — counting them would hold shed mode on
+//! forever. Transitions emit `slo.burn` / `slo.burn.clear` instants the
+//! controller's shed policy consumes instead of its raw per-tick p95
+//! threshold.
 //!
 //! # Energy attribution
 //!
@@ -42,6 +43,10 @@ use enprop_faults::EnpropError;
 use enprop_obs::{
     EnergyLedger, EnergyOutcome, LedgerState, QuantileSketch, Recorder, SeriesState, Track,
     WindowedSeries,
+};
+
+use crate::config::{
+    BURN_EXIT, BURN_FAST_WINDOWS, BURN_SLOW_WINDOWS, BURN_THRESHOLD, OBS_ALPHA, OBS_MAX_WINDOWS,
 };
 
 /// Error budget fraction for a p95 objective: 5 % of requests may breach.
@@ -248,10 +253,6 @@ fn outcome_idx(o: EnergyOutcome) -> usize {
 pub struct ObsPlane {
     window_s: f64,
     slo_p95_s: f64,
-    fast_k: usize,
-    slow_k: usize,
-    threshold: f64,
-    exit: f64,
 
     /// Response times of completions, windowed on completion time.
     resp: WindowedSeries,
@@ -270,7 +271,8 @@ pub struct ObsPlane {
     /// One accumulator per node group (flat, hot-path indexed).
     cur_groups: Vec<GroupAcc>,
 
-    /// (completions, breaches) of the last `slow_k` closed windows.
+    /// (completions, breaches) of the last [`BURN_SLOW_WINDOWS`] closed
+    /// windows.
     burn_ring: VecDeque<(u64, u64)>,
     alert: bool,
     burn_fast: f64,
@@ -278,37 +280,15 @@ pub struct ObsPlane {
 }
 
 impl ObsPlane {
-    /// A plane with tumbling windows of `window_s` virtual seconds,
-    /// sketches at `alpha`, retaining `max_windows` windows, tracking
-    /// `n_groups` node groups, judging the `slo_p95_s` objective over
-    /// `fast_k`/`slow_k`-window burn rates against `threshold` (alert)
-    /// and `exit` (clear).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        window_s: f64,
-        alpha: f64,
-        max_windows: usize,
-        n_groups: usize,
-        slo_p95_s: f64,
-        fast_k: u32,
-        slow_k: u32,
-        threshold: f64,
-        exit: f64,
-    ) -> Self {
-        let slow_k = (slow_k.max(1)) as usize;
-        let window_s = if window_s.is_finite() && window_s > 0.0 {
-            window_s
-        } else {
-            1.0
-        };
+    /// A plane with tumbling windows of `window_s` (> 0) virtual seconds,
+    /// tracking `n_groups` node groups and judging the `slo_p95_s`
+    /// objective. Sketch accuracy, retention and the burn-rate windows and
+    /// thresholds are the [`crate::config`] constants.
+    pub fn new(window_s: f64, n_groups: usize, slo_p95_s: f64) -> Self {
         ObsPlane {
             window_s,
             slo_p95_s,
-            fast_k: (fast_k.max(1)) as usize,
-            slow_k,
-            threshold,
-            exit,
-            resp: WindowedSeries::new(window_s, alpha, max_windows.max(1)),
+            resp: WindowedSeries::new(window_s, OBS_ALPHA, OBS_MAX_WINDOWS),
             ledger: EnergyLedger::new(),
             cur_index: 0,
             cur_end_s: window_s,
@@ -545,16 +525,16 @@ impl ObsPlane {
 
         // Burn monitor: push this window, recompute, fire transitions.
         self.burn_ring.push_back((completions, self.cur_breaches));
-        while self.burn_ring.len() > self.slow_k {
+        while self.burn_ring.len() > BURN_SLOW_WINDOWS {
             self.burn_ring.pop_front();
         }
-        self.burn_fast = self.burn_over(self.fast_k);
-        self.burn_slow = self.burn_over(self.slow_k);
-        let firing = self.burn_fast > self.threshold && self.burn_slow > self.threshold;
+        self.burn_fast = self.burn_over(BURN_FAST_WINDOWS);
+        self.burn_slow = self.burn_over(BURN_SLOW_WINDOWS);
+        let firing = self.burn_fast > BURN_THRESHOLD && self.burn_slow > BURN_THRESHOLD;
         if firing && !self.alert {
             self.alert = true;
             rec.instant(end_s, Track::Controller, "slo.burn", self.burn_fast);
-        } else if self.alert && self.burn_fast < self.exit {
+        } else if self.alert && self.burn_fast < BURN_EXIT {
             self.alert = false;
             rec.instant(end_s, Track::Controller, "slo.burn.clear", self.burn_fast);
         }
@@ -647,14 +627,14 @@ mod tests {
     use enprop_obs::{MemoryRecorder, NoopRecorder};
 
     fn plane() -> ObsPlane {
-        // 1 s windows, α = 1 %, 0.1 s SLO, fast 1 / slow 3, alert > 2, exit < 1.
-        ObsPlane::new(1.0, 0.01, 64, 4, 0.1, 1, 3, 2.0, 1.0)
+        // 1 s windows, 4 groups, 0.1 s SLO.
+        ObsPlane::new(1.0, 4, 0.1)
     }
 
     /// Complete a request in the plane's current window, keying the
     /// response the way the controller does.
     fn complete(p: &mut ObsPlane, resp_s: f64, group: u16) {
-        let key = enprop_obs::QuantileSketch::new(0.01).key_for(resp_s);
+        let key = enprop_obs::QuantileSketch::new(OBS_ALPHA).key_for(resp_s);
         p.on_completion(resp_s, group, key, 0.0);
     }
 
@@ -785,7 +765,7 @@ mod tests {
     #[test]
     fn restore_rejects_group_count_mismatch() {
         let snap = plane().state();
-        let mut wrong = ObsPlane::new(1.0, 0.01, 64, 2, 0.1, 1, 3, 2.0, 1.0);
+        let mut wrong = ObsPlane::new(1.0, 2, 0.1);
         assert!(wrong.restore(&snap).is_err());
     }
 

@@ -565,6 +565,35 @@ fn ev_of(line: &str, lineno: usize) -> Result<Ev, EnpropError> {
     Ok(Ev { t, seq, kind })
 }
 
+/// Reject an event aimed at a node, rack or PDU the configured cluster and
+/// topology do not have: the event loop indexes them without a check.
+fn check_ev_targets(c: &Controller<'_>, kind: &EvKind, lineno: usize) -> Result<(), EnpropError> {
+    let node = match *kind {
+        EvKind::Completion { node, .. }
+        | EvKind::Fault { node, .. }
+        | EvKind::FaultWindow { node, .. }
+        | EvKind::StallEnd { node }
+        | EvKind::StragglerEnd { node }
+        | EvKind::Repair { node } => Some(node),
+        _ => None,
+    };
+    if let Some(i) = node.filter(|&i| i >= c.nodes.len()) {
+        return Err(snap_err(lineno, format!("event node index {i} out of range")));
+    }
+    if let EvKind::DomainFault { event } = kind {
+        let topology = c.topo.map(|t| t.topology);
+        let (what, i, n) = match event.domain {
+            Domain::Rack(r) => ("rack", r, topology.map_or(0, |t| t.racks())),
+            Domain::Pdu(p) => ("pdu", p, topology.map_or(0, |t| t.pdus())),
+            Domain::Cluster => return Ok(()),
+        };
+        if i >= n {
+            return Err(snap_err(lineno, format!("event {what} index {i} out of range")));
+        }
+    }
+    Ok(())
+}
+
 fn rng_state(v: &[u64], lineno: usize, what: &str) -> Result<[u64; 4], EnpropError> {
     <[u64; 4]>::try_from(v)
         .map_err(|_| snap_err(lineno, format!("{what} must have exactly 4 words")))
@@ -789,11 +818,13 @@ pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, En
                 let loc = match num(line, lineno, "loc")? {
                     0 => Loc::Pending,
                     1 => Loc::Backoff,
-                    2 => Loc::OnNode(usize_of(
-                        num(line, lineno, "loc_node")?,
-                        lineno,
-                        "loc_node",
-                    )?),
+                    2 => {
+                        let i = usize_of(num(line, lineno, "loc_node")?, lineno, "loc_node")?;
+                        if i >= c.nodes.len() {
+                            return Err(snap_err(lineno, format!("loc_node {i} out of range")));
+                        }
+                        Loc::OnNode(i)
+                    }
                     other => return Err(snap_err(lineno, format!("unknown req loc {other}"))),
                 };
                 let exclude = match num(line, lineno, "exclude")? {
@@ -928,6 +959,7 @@ pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, En
             }
             "ev" => {
                 let ev = ev_of(line, lineno)?;
+                check_ev_targets(c, &ev.kind, lineno)?;
                 if ev.seq >= c.seq {
                     return Err(snap_err(
                         lineno,

@@ -254,6 +254,69 @@ fn truncated_snapshot_is_a_typed_error() {
     assert!(msg.contains("truncated"), "must say truncated: {msg}");
 }
 
+/// `line` with the numeric value of `"key"` replaced by `value`.
+fn set_field(line: &str, key: &str, value: u64) -> String {
+    let tag = format!("\"{key}\":");
+    let start = line.find(&tag).unwrap() + tag.len();
+    let len = line[start..].find(|ch: char| !ch.is_ascii_digit()).unwrap();
+    format!("{}{value}{}", &line[..start], &line[start + len..])
+}
+
+/// A checkpoint whose trailer still counts its lines but whose `ev` or
+/// `req` lines name a node, rack or PDU the cluster does not have resumes
+/// as a typed configuration error — exit 2, never an index panic.
+#[test]
+fn out_of_range_event_targets_are_typed_errors() {
+    let s = scenario(7, 2, 400, 3.0, 60.0);
+    let full = run(&s, None);
+    // (what, line marker, field to corrupt)
+    let cases = [
+        ("completion node", "\"sec\":\"ev\",", "\"k\":1,", "a"),
+        ("fault-window node", "\"sec\":\"ev\",", "\"k\":5,", "a"),
+        ("rack", "\"sec\":\"ev\",", "\"k\":13,", "c"),
+        ("request loc_node", "\"sec\":\"req\",", "\"loc\":2,", "loc_node"),
+    ];
+    for (what, sec, marker, key) in cases {
+        let rack = key == "c";
+        let (snap, lineno) = full
+            .checkpoints
+            .iter()
+            .find_map(|snap| {
+                snap.lines()
+                    .position(|l| {
+                        l.contains(sec)
+                            && l.contains(marker)
+                            && (!rack || l.contains("\"b\":0,"))
+                    })
+                    .map(|i| (snap, i))
+            })
+            .unwrap_or_else(|| panic!("no checkpoint carries a {what} line"));
+        let corrupt: String = snap
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == lineno { set_field(l, key, 999) } else { l.to_string() })
+            .map(|l| l + "\n")
+            .collect();
+        let mut source = source_for(&s);
+        let mut rec = MemoryRecorder::new();
+        let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
+        let err = Controller::resume_full(
+            &s.workload,
+            &s.cluster,
+            &s.plan,
+            Some(&s.topo),
+            &s.cfg,
+            &mut source,
+            &mut rec,
+            &corrupt,
+            &mut hooks,
+        )
+        .expect_err("an out-of-range index must not resume");
+        assert_eq!(err.exit_code(), 2, "{what}: InvalidConfig → exit 2: {err}");
+        assert!(err.to_string().contains("out of range"), "{what}: {err}");
+    }
+}
+
 /// A snapshot resumed against the wrong seed is rejected up front.
 #[test]
 fn wrong_seed_is_rejected() {

@@ -1,119 +1,37 @@
-# Developer task runner. `just verify` is the gate every PR must pass;
-# `./scripts/verify.sh` is the no-just fallback.
+# Developer task runner. `just verify` is the gate every change must pass;
+# it and every stage recipe run `./scripts/verify.sh`.
 
-# Build, test and lint the whole workspace (warnings are errors).
-verify: && obs-smoke perf-smoke serve-smoke resume-smoke obs-query-smoke lint-budget
-    cargo build --release --workspace --offline
-    # perfbench is a workspace of its own that builds the sim crates by
-    # path; building it here catches library API changes that break it.
-    cargo build --release --offline --manifest-path perfbench/Cargo.toml
-    cargo test -q --workspace --offline
-    cargo clippy --workspace --all-targets --offline -- -D warnings
-    cargo run --release -p enprop-lint --offline
+# Build, test and lint the whole workspace (warnings are errors), then run
+# every smoke stage below. Each stage is defined once, in
+# scripts/verify.sh; the recipes here only name it.
+verify:
+    ./scripts/verify.sh
 
-# Lint-runtime budget (DESIGN.md §15): the whole-workspace self-scan must
-# stay interactive (< 2 s) and its wall time is recorded with the other
-# perf gates (appends BENCH_lint_scan.json). Also pins the v2 JSON schema
-# that scripts/verify.sh consumes.
+# Lint pass plus its runtime budget (< 2 s; appends BENCH_lint_scan.json).
 lint-budget:
-    #!/usr/bin/env sh
-    set -eu
-    json="$(cargo run --release -p enprop-lint --offline -- --json)"
-    printf '%s\n' "$json" | grep -q '"format":"enprop-lint-v2"'
-    scan_ms="$(printf '%s' "$json" | sed -n 's/.*"scan_ms":\([0-9][0-9]*\).*/\1/p')"
-    test -n "$scan_ms"
-    if [ "$scan_ms" -ge 2000 ]; then
-        echo "lint-budget: scan took ${scan_ms} ms (budget 2000 ms)" >&2
-        exit 1
-    fi
-    printf '{"cmd":"lint.scan","wall_ms":%s,"seed":1}\n' "$scan_ms" >> BENCH_lint_scan.json
-    echo "lint-budget: OK (${scan_ms} ms)"
+    ./scripts/verify.sh lint-budget
 
-# Telemetry exports must stay well-formed: run a traced command and
-# check both artifacts for their format markers.
+# Telemetry exports (trace + metrics) carry their format markers.
 obs-smoke:
-    #!/usr/bin/env sh
-    set -eu
-    tmp="$(mktemp -d)"
-    trap 'rm -rf "$tmp"' EXIT
-    cargo run --release -p enprop-cli --offline -- table4 \
-        --trace-out "$tmp/t.json" --metrics-out "$tmp/m.json" >/dev/null
-    grep -q traceEvents "$tmp/t.json"
-    grep -q enprop-obs-metrics-v1 "$tmp/m.json"
-    echo "obs-smoke: OK"
+    ./scripts/verify.sh obs-smoke
 
-# Perf regression gate for the evaluation pipeline: reduced sweep,
-# sequential vs pooled vs pooled+memoized, plus the mega-scale
-# streaming-vs-materializing scenario; appends BENCH_space_eval.json
-# (DESIGN.md §12, §17). Exits 1 if the optimized path regresses past the
-# sequential baseline, if streaming loses its 2x edge at 10^6 configs,
-# or if the streamed sweep drifts past 3x its best recorded trajectory.
+# Evaluation-pipeline perf gate plus the 3x stream_pruned trajectory bound
+# (appends BENCH_space_eval.json).
 perf-smoke:
-    #!/usr/bin/env sh
-    set -eu
-    cargo run --release -p enprop-bench --bin perf_smoke --offline
-    rows="$(sed -n 's/.*"cmd":"space_eval\.stream_pruned","wall_ms":\([0-9.][0-9.]*\).*/\1/p' \
-        BENCH_space_eval.json)"
-    if [ "$(printf '%s\n' "$rows" | grep -c .)" -ge 2 ]; then
-        newest="$(printf '%s\n' "$rows" | tail -1)"
-        best="$(printf '%s\n' "$rows" | sed '$d' | sort -g | head -1)"
-        if [ "$(awk -v n="$newest" -v b="$best" 'BEGIN { print (n <= 3 * b) ? 1 : 0 }')" != 1 ]; then
-            echo "perf-smoke: stream_pruned regressed: ${newest} ms > 3x best ${best} ms" >&2
-            exit 1
-        fi
-        echo "perf trajectory: stream_pruned ${newest} ms (best recorded ${best} ms)"
-    fi
+    ./scripts/verify.sh perf-smoke
 
-# Serving-mode gate (DESIGN.md §13): replay the bundled arrival trace
-# under an active chaos plan, assert a clean exit and the conservation
-# invariant, then run the serve_replay throughput gate (appends
+# Chaos replay conserves requests; serve_replay throughput gate (appends
 # BENCH_serve_replay.json).
 serve-smoke:
-    #!/usr/bin/env sh
-    set -eu
-    out="$(cargo run --release -p enprop-cli --offline -- replay \
-        --trace examples/replay_trace.jsonl \
-        --mtbf 6 --stall 2 --slowdown 3 --repair 5 --seed 7)"
-    printf '%s\n' "$out"
-    printf '%s\n' "$out" | grep -q "conservation: OK"
-    cargo run --release -p enprop-bench --bin serve_replay --offline
-    echo "serve-smoke: OK"
+    ./scripts/verify.sh serve-smoke
 
-# Crash-consistency gate (DESIGN.md §16): kill a checkpointed serving
-# run mid-flight, resume it from the snapshot, and require the report
-# and the telemetry tail to match the uninterrupted run bit for bit
-# (appends the resume wall time to BENCH_serve_replay.json).
+# Kill mid-run, resume from the checkpoint, diff bit-exactly.
 resume-smoke:
-    #!/usr/bin/env sh
-    set -eu
-    cargo build --release -p enprop-cli --offline
-    ENPROP=./target/release/enprop ./scripts/resume_smoke.sh
+    ./scripts/verify.sh resume-smoke
 
-# Observability-plane gate (DESIGN.md §14): record a chaos replay as a
-# raw JSONL trace, drive `enprop obs` over it (the per-window report
-# must carry the tail and energy columns and per-group rows; the trace
-# query must resolve sketch quantiles), then run the obs_window bench —
-# the windowed plane may cost at most 10% over the plane-off baseline.
+# `enprop obs` report/query over a recorded trace; obs-plane ≤ 1.10x gate.
 obs-query-smoke:
-    #!/usr/bin/env sh
-    set -eu
-    tmp="$(mktemp -d)"
-    trap 'rm -rf "$tmp"' EXIT
-    cargo run --release -p enprop-cli --offline -- replay \
-        --trace examples/replay_trace.jsonl \
-        --mtbf 6 --stall 2 --slowdown 3 --repair 5 --seed 7 \
-        --trace-out "$tmp/serve.jsonl" >/dev/null
-    report="$(cargo run --release -p enprop-cli --offline -- obs report \
-        --trace "$tmp/serve.jsonl")"
-    printf '%s\n' "$report" | grep -q p999_s
-    printf '%s\n' "$report" | grep -q j_per_req
-    printf '%s\n' "$report" | grep -q burn_fast
-    printf '%s\n' "$report" | grep -q ' g0 '
-    query="$(cargo run --release -p enprop-cli --offline -- obs query \
-        --trace "$tmp/serve.jsonl" --name win.p99_s --quantiles win.p99_s)"
-    printf '%s\n' "$query" | grep -q 'p99.9'
-    cargo run --release -p enprop-bench --bin obs_window --offline
-    echo "obs-query-smoke: OK"
+    ./scripts/verify.sh obs-query-smoke
 
 # Fast signal while iterating.
 check:
