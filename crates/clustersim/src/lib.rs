@@ -41,9 +41,5 @@ pub use enprop_faults::{
 pub use run::{
     ClusterJobRun, ClusterSim, FaultRecord, FaultedJobRun, Observation, PowerTrace,
 };
-pub use split::{
-    rate_matched_split, try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit,
-};
-pub use validate::{
-    model_prediction, try_model_prediction, try_validate, ModelPrediction, ValidationReport,
-};
+pub use split::{try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit};
+pub use validate::{try_model_prediction, try_validate, ModelPrediction, ValidationReport};

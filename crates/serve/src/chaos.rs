@@ -238,7 +238,11 @@ pub fn spans_balanced(rec: &MemoryRecorder) -> bool {
 
 /// Run `plans` randomized fault plans of `requests` Poisson arrivals each
 /// at `utilization` of the cluster's fault-free capacity, asserting the
-/// robustness invariants per plan.
+/// robustness invariants per plan. With `domains`, a correlated
+/// [`sweep_domain_plan`] is layered over each per-node plan: every run
+/// sees rack crashes, PDU losses, partitions and cluster-wide power
+/// emergencies on top of its node-level chaos, and the same invariants
+/// must hold.
 ///
 /// The sweep never panics on an invariant violation — it reports, so the
 /// CLI can print *which* plan failed and with what accounting.
@@ -249,59 +253,7 @@ pub fn chaos_sweep(
     plans: u32,
     requests: u64,
     utilization: f64,
-) -> Result<ChaosOutcome, EnpropError> {
-    if !utilization.is_finite() || utilization <= 0.0 {
-        return Err(EnpropError::invalid_parameter(
-            "utilization",
-            format!("must be finite and > 0, got {utilization}"),
-        ));
-    }
-    let ops = default_ops_per_request(workload, cluster)?;
-    let rate = utilization * cluster_capacity_ops_s(workload, cluster)? / ops;
-    let mut out = ChaosOutcome {
-        plans: Vec::with_capacity(plans as usize),
-        run_errors: Vec::new(),
-    };
-    for p in 0..plans {
-        let plan = sweep_plan(cfg.seed, p, cluster.groups.len());
-        let mut plan_cfg = cfg.clone();
-        plan_cfg.seed = cfg.seed.wrapping_add(u64::from(p));
-        let arrivals = SyntheticArrivals::new(
-            ArrivalModel::Poisson { rate },
-            requests,
-            ops,
-            0.2,
-            plan_cfg.seed,
-        )?;
-        let mut source = ArrivalSource::Synthetic(arrivals);
-        let mut rec = MemoryRecorder::new();
-        match Controller::run(workload, cluster, &plan, &plan_cfg, &mut source, &mut rec) {
-            Ok(report) => {
-                let conservation_ok = report.conservation_ok();
-                out.plans.push(PlanOutcome {
-                    plan: p,
-                    report,
-                    conservation_ok,
-                    spans_balanced: spans_balanced(&rec),
-                });
-            }
-            Err(e) => out.run_errors.push((p, e.to_string())),
-        }
-    }
-    Ok(out)
-}
-
-/// [`chaos_sweep`], with a correlated [`sweep_domain_plan`] layered over
-/// each per-node plan: every run sees rack crashes, PDU losses,
-/// partitions and cluster-wide power emergencies on top of its node-level
-/// chaos, and the same invariants must hold.
-pub fn domain_chaos_sweep(
-    workload: &Workload,
-    cluster: &ClusterSpec,
-    cfg: &ServeConfig,
-    plans: u32,
-    requests: u64,
-    utilization: f64,
+    domains: bool,
 ) -> Result<ChaosOutcome, EnpropError> {
     if !utilization.is_finite() || utilization <= 0.0 {
         return Err(EnpropError::invalid_parameter(
@@ -318,7 +270,7 @@ pub fn domain_chaos_sweep(
     };
     for p in 0..plans {
         let plan = sweep_plan(cfg.seed, p, cluster.groups.len());
-        let topo = sweep_domain_plan(cfg.seed, p, n_nodes)?;
+        let topo = if domains { Some(sweep_domain_plan(cfg.seed, p, n_nodes)?) } else { None };
         let mut plan_cfg = cfg.clone();
         plan_cfg.seed = cfg.seed.wrapping_add(u64::from(p));
         let arrivals = SyntheticArrivals::new(
@@ -335,7 +287,7 @@ pub fn domain_chaos_sweep(
             workload,
             cluster,
             &plan,
-            Some(&topo),
+            topo.as_ref(),
             &plan_cfg,
             &mut source,
             &mut rec,
@@ -384,7 +336,7 @@ mod tests {
         let w = catalog::by_name("memcached").unwrap();
         let c = ClusterSpec::a9_k10(3, 2);
         let cfg = ServeConfig::new(99);
-        let out = chaos_sweep(&w, &c, &cfg, 4, 600, 0.6).unwrap();
+        let out = chaos_sweep(&w, &c, &cfg, 4, 600, 0.6, false).unwrap();
         assert!(out.all_ok(), "{}", out.summary_line());
         assert!(out.total_faults() > 0, "chaos must inject faults");
         assert!(out.summary_line().ends_with("chaos: OK"));
@@ -395,9 +347,9 @@ mod tests {
         let w = catalog::by_name("memcached").unwrap();
         let c = ClusterSpec::a9_k10(1, 1);
         let cfg = ServeConfig::new(1);
-        assert!(chaos_sweep(&w, &c, &cfg, 1, 10, 0.0).is_err());
-        assert!(chaos_sweep(&w, &c, &cfg, 1, 10, f64::NAN).is_err());
-        assert!(domain_chaos_sweep(&w, &c, &cfg, 1, 10, 0.0).is_err());
+        assert!(chaos_sweep(&w, &c, &cfg, 1, 10, 0.0, false).is_err());
+        assert!(chaos_sweep(&w, &c, &cfg, 1, 10, f64::NAN, false).is_err());
+        assert!(chaos_sweep(&w, &c, &cfg, 1, 10, 0.0, true).is_err());
     }
 
     #[test]
@@ -419,7 +371,7 @@ mod tests {
         cfg.repair_s = 5.0;
         cfg.breaker_failures = 2; // trip on short timeout bursts
         cfg.breaker_open_s = 1.0;
-        let out = domain_chaos_sweep(&w, &c, &cfg, 4, 600, 0.6).unwrap();
+        let out = chaos_sweep(&w, &c, &cfg, 4, 600, 0.6, true).unwrap();
         assert!(out.all_ok(), "{}", out.summary_line());
         assert!(out.total_faults() > 0, "node-level chaos must still inject");
         assert!(

@@ -50,7 +50,7 @@ pub mod trace;
 
 pub use arrivals::{Arrival, ArrivalModel, ArrivalSource, SourceState, SyntheticArrivals};
 pub use chaos::{
-    chaos_sweep, domain_chaos_sweep, spans_balanced, sweep_domain_plan, sweep_plan, ChaosOutcome,
+    chaos_sweep, spans_balanced, sweep_domain_plan, sweep_plan, ChaosOutcome,
     PlanOutcome,
 };
 pub use config::{ServeConfig, OBS_ALPHA};

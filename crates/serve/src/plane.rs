@@ -207,11 +207,12 @@ pub struct PlaneGroupState {
 }
 
 /// Checkpoint form of the whole [`ObsPlane`]: everything that mutates
-/// after construction. Static geometry (window length, burn windows,
-/// thresholds) is *not* here — the resume path rebuilds the plane from
-/// the same [`crate::ServeConfig`] and then replays this state onto it,
-/// so a snapshot restored against a different config fails loudly on the
-/// group-count check instead of silently mixing geometries.
+/// after construction, plus the series geometry it carries along. The
+/// resume path rebuilds the plane from the same [`crate::ServeConfig`],
+/// starts from its fresh `state()`, and replays the snapshot onto it; a
+/// snapshot taken under a different config fails loudly on the
+/// group-count or series-geometry check instead of silently mixing
+/// geometries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlaneState {
     /// Windowed response-time series (ring of sketches).

@@ -91,6 +91,38 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// The run counters the controller tallies, under their checkpoint
+    /// keys in `ctl`-line order (DESIGN.md §16): the one table both the
+    /// snapshot writer and reader walk.
+    pub(crate) fn counters_mut(&mut self) -> [(&'static str, &mut u64); 24] {
+        [
+            ("n_arrivals", &mut self.arrivals),
+            ("n_completions", &mut self.completions),
+            ("n_shed_admission", &mut self.shed_admission),
+            ("n_shed_retry", &mut self.shed_retry),
+            ("n_shed_backpressure", &mut self.shed_backpressure),
+            ("n_timeouts", &mut self.timeouts),
+            ("n_retries", &mut self.retries),
+            ("n_reroutes", &mut self.reroutes),
+            ("n_crashes", &mut self.crashes),
+            ("n_stalls", &mut self.stalls),
+            ("n_stragglers", &mut self.stragglers),
+            ("n_repairs", &mut self.repairs),
+            ("n_activations", &mut self.activations),
+            ("n_deactivations", &mut self.deactivations),
+            ("n_dvfs_up", &mut self.dvfs_up),
+            ("n_dvfs_down", &mut self.dvfs_down),
+            ("n_shed_toggles", &mut self.shed_toggles),
+            ("n_rack_crashes", &mut self.rack_crashes),
+            ("n_pdu_losses", &mut self.pdu_losses),
+            ("n_partitions", &mut self.partitions),
+            ("n_power_emergencies", &mut self.power_emergencies),
+            ("n_emergency_actions", &mut self.emergency_actions),
+            ("n_breaker_opens", &mut self.breaker_opens),
+            ("n_breaker_closes", &mut self.breaker_closes),
+        ]
+    }
+
     /// Total shed requests (admission + backpressure + retry exhaustion).
     pub fn shed(&self) -> u64 {
         self.shed_admission + self.shed_backpressure + self.shed_retry

@@ -18,15 +18,15 @@
 //! reports.
 
 use std::cmp::Reverse;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use enprop_faults::{Domain, DomainEvent, DomainFaultKind, EnpropError, FaultKind};
-use enprop_obs::{LedgerState, QuantileSketch, SeriesState, SketchState, WindowState};
+use enprop_obs::{QuantileSketch, SketchState, WindowState};
 
 use crate::arrivals::SourceState;
 use crate::controller::{Admin, Breaker, Controller, Ev, EvKind, Loc, Req, Running};
-use crate::plane::{PlaneGroupState, PlaneState};
+use crate::plane::{ObsPlane, PlaneGroupState, PlaneState};
 
 /// Version tag of the snapshot format; bumped on any incompatible change.
 pub const SNAPSHOT_VERSION: &str = "enprop-snapshot-v1";
@@ -37,9 +37,9 @@ fn bits(v: f64) -> u64 {
     v.to_bits()
 }
 
-fn push_u64s(out: &mut String, vals: &[u64]) {
+fn push_u64s(out: &mut String, vals: impl IntoIterator<Item = u64>) {
     out.push('[');
-    for (i, v) in vals.iter().enumerate() {
+    for (i, v) in vals.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -48,11 +48,13 @@ fn push_u64s(out: &mut String, vals: &[u64]) {
     out.push(']');
 }
 
-fn sketch_line(out: &mut String, which: u32, s: &SketchState) {
+/// The fields of one sketch, its count/sum/min/max keys prefixed with
+/// `p` (`""` on a `sketch` line, `"s"` on a `series_win` line, whose own
+/// `count`/`sum` are the window's).
+fn push_sketch(out: &mut String, s: &SketchState, p: &str) {
     let _ = write!(
         out,
-        "{{\"sec\":\"sketch\",\"which\":{},\"alpha\":{},\"maxb\":{},\"lowc\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":",
-        which,
+        "\"alpha\":{},\"maxb\":{},\"lowc\":{},\"{p}count\":{},\"{p}sum\":{},\"{p}min\":{},\"{p}max\":{},\"buckets\":",
         bits(s.alpha),
         s.max_buckets,
         s.low,
@@ -61,33 +63,7 @@ fn sketch_line(out: &mut String, which: u32, s: &SketchState) {
         bits(s.min),
         bits(s.max),
     );
-    let flat: Vec<u64> = s
-        .buckets
-        .iter()
-        .flat_map(|&(k, n)| [i64::from(k) as u64, n])
-        .collect();
-    push_u64s(out, &flat);
-    out.push_str("}\n");
-}
-
-fn sketch_fields(s: &SketchState) -> String {
-    let mut f = format!(
-        "\"alpha\":{},\"maxb\":{},\"lowc\":{},\"scount\":{},\"ssum\":{},\"smin\":{},\"smax\":{},\"buckets\":",
-        bits(s.alpha),
-        s.max_buckets,
-        s.low,
-        s.count,
-        bits(s.sum),
-        bits(s.min),
-        bits(s.max),
-    );
-    let flat: Vec<u64> = s
-        .buckets
-        .iter()
-        .flat_map(|&(k, n)| [i64::from(k) as u64, n])
-        .collect();
-    push_u64s(&mut f, &flat);
-    f
+    push_u64s(out, s.buckets.iter().flat_map(|&(k, n)| [i64::from(k) as u64, n]));
 }
 
 fn ev_line(out: &mut String, ev: &Ev) {
@@ -158,9 +134,9 @@ pub(crate) fn serialize(
         c.seq,
         c.events,
     );
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "{{\"sec\":\"ctl\",\"next_req_id\":{},\"arrivals_done\":{},\"drain_armed\":{},\"shed_mode\":{},\"shed_entries\":{},\"cooldown\":{},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{},\"class_floor\":{},\"n_arrivals\":{},\"n_completions\":{},\"n_shed_admission\":{},\"n_shed_retry\":{},\"n_shed_backpressure\":{},\"n_timeouts\":{},\"n_retries\":{},\"n_reroutes\":{},\"n_crashes\":{},\"n_stalls\":{},\"n_stragglers\":{},\"n_repairs\":{},\"n_activations\":{},\"n_deactivations\":{},\"n_dvfs_up\":{},\"n_dvfs_down\":{},\"n_shed_toggles\":{},\"n_rack_crashes\":{},\"n_pdu_losses\":{},\"n_partitions\":{},\"n_power_emergencies\":{},\"n_emergency_actions\":{},\"n_breaker_opens\":{},\"n_breaker_closes\":{}}}",
+        "{{\"sec\":\"ctl\",\"next_req_id\":{},\"arrivals_done\":{},\"drain_armed\":{},\"shed_mode\":{},\"shed_entries\":{},\"cooldown\":{},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{},\"class_floor\":{}",
         c.next_req_id,
         u8::from(c.arrivals_done),
         u8::from(c.drain_armed),
@@ -173,31 +149,11 @@ pub(crate) fn serialize(
         bits(c.emergency_until_s),
         c.emergency_level,
         c.shed_class_floor,
-        c.arrivals,
-        c.completions,
-        c.shed_admission,
-        c.shed_retry,
-        c.shed_backpressure,
-        c.timeouts,
-        c.retries,
-        c.reroutes,
-        c.crashes,
-        c.stalls,
-        c.stragglers,
-        c.repairs,
-        c.activations,
-        c.deactivations,
-        c.dvfs_up,
-        c.dvfs_down,
-        c.shed_toggles,
-        c.rack_crashes,
-        c.pdu_losses,
-        c.partitions,
-        c.power_emergencies,
-        c.emergency_actions,
-        c.breaker_opens,
-        c.breaker_closes,
     );
+    for (key, v) in c.tally.clone().counters_mut() {
+        let _ = write!(out, ",\"{key}\":{v}");
+    }
+    out.push_str("}\n");
     // Recorder-side running totals: `Recorder::counter` events carry a
     // cumulative total kept by the *sink*, so a resumed run must continue
     // those totals or its trace diverges from the uninterrupted run's.
@@ -242,8 +198,7 @@ pub(crate) fn serialize(
             bits(n.win_idle_j),
             u8::from(n.down_span_open),
         );
-        let q: Vec<u64> = n.queue.iter().copied().collect();
-        push_u64s(&mut out, &q);
+        push_u64s(&mut out, n.queue.iter().copied());
         match &n.current {
             None => out.push_str(",\"cur\":0,\"cur_req\":0,\"cur_rem\":0,\"cur_e\":0}\n"),
             Some(r) => {
@@ -276,11 +231,13 @@ pub(crate) fn serialize(
         );
     }
     out.push_str("{\"sec\":\"pending\",\"ids\":");
-    let p: Vec<u64> = c.pending.iter().copied().collect();
-    push_u64s(&mut out, &p);
+    push_u64s(&mut out, c.pending.iter().copied());
     out.push_str("}\n");
-    sketch_line(&mut out, 0, &c.tick_sketch.state());
-    sketch_line(&mut out, 1, &c.run_sketch.state());
+    for (which, sketch) in [&c.tick_sketch, &c.run_sketch].into_iter().enumerate() {
+        let _ = write!(out, "{{\"sec\":\"sketch\",\"which\":{which},");
+        push_sketch(&mut out, &sketch.state(), "");
+        out.push_str("}\n");
+    }
     if let Some(plane) = &c.plane {
         let ps = plane.state();
         let _ = write!(
@@ -294,8 +251,7 @@ pub(crate) fn serialize(
             bits(ps.burn_fast),
             bits(ps.burn_slow),
         );
-        let ring: Vec<u64> = ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]).collect();
-        push_u64s(&mut out, &ring);
+        push_u64s(&mut out, ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]));
         out.push_str("}\n");
         for (gi, g) in ps.groups.iter().enumerate() {
             let _ = writeln!(
@@ -320,39 +276,26 @@ pub(crate) fn serialize(
             bits(ps.resp.evicted_sum),
         );
         for w in &ps.resp.windows {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "{{\"sec\":\"series_win\",\"index\":{},\"count\":{},\"sum\":{},{}}}",
+                "{{\"sec\":\"series_win\",\"index\":{},\"count\":{},\"sum\":{},",
                 w.index,
                 w.count,
                 bits(w.sum),
-                sketch_fields(&w.sketch),
             );
+            push_sketch(&mut out, &w.sketch, "s");
+            out.push_str("}\n");
         }
+        let ledger = &ps.ledger;
         out.push_str("{\"sec\":\"ledger\",\"charges\":");
-        let ch: Vec<u64> = ps
-            .ledger
-            .charges
-            .iter()
-            .flat_map(|&(g, o, j)| [u64::from(g), u64::from(o), bits(j)])
-            .collect();
-        push_u64s(&mut out, &ch);
+        push_u64s(
+            &mut out,
+            ledger.charges.iter().flat_map(|&(g, o, j)| [u64::from(g), u64::from(o), bits(j)]),
+        );
         out.push_str(",\"ideal\":");
-        let id: Vec<u64> = ps
-            .ledger
-            .ideal_j
-            .iter()
-            .flat_map(|&(g, j)| [u64::from(g), bits(j)])
-            .collect();
-        push_u64s(&mut out, &id);
+        push_u64s(&mut out, ledger.ideal_j.iter().flat_map(|&(g, j)| [u64::from(g), bits(j)]));
         out.push_str(",\"completed\":");
-        let co: Vec<u64> = ps
-            .ledger
-            .completed
-            .iter()
-            .flat_map(|&(g, n)| [u64::from(g), n])
-            .collect();
-        push_u64s(&mut out, &co);
+        push_u64s(&mut out, ledger.completed.iter().flat_map(|&(g, n)| [u64::from(g), n]));
         out.push_str("}\n");
     }
     // The heap in deterministic (t, seq) order, plus the just-popped
@@ -366,11 +309,11 @@ pub(crate) fn serialize(
     match src {
         SourceState::Synthetic { gap, size, class, t, remaining } => {
             out.push_str("{\"sec\":\"source\",\"kind\":0,\"g\":");
-            push_u64s(&mut out, gap);
+            push_u64s(&mut out, *gap);
             out.push_str(",\"s\":");
-            push_u64s(&mut out, size);
+            push_u64s(&mut out, *size);
             out.push_str(",\"c\":");
-            push_u64s(&mut out, class);
+            push_u64s(&mut out, *class);
             let _ = writeln!(out, ",\"t\":{},\"remaining\":{remaining}}}", bits(*t));
         }
         SourceState::Replay { next } => {
@@ -388,181 +331,208 @@ fn snap_err(lineno: usize, msg: impl std::fmt::Display) -> EnpropError {
     EnpropError::invalid_config(format!("snapshot line {lineno}: {msg}"))
 }
 
-/// The `"sec"` tag of a snapshot line.
-fn sec_of(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("{\"sec\":\"")?;
-    let end = rest.find('"')?;
-    Some(&rest[..end])
+/// One snapshot line, split once into its `"key":value` fields. A value
+/// is a decimal `u64`, a `[u64,…]` array or an escape-free string (the
+/// only shapes [`serialize`] writes); the typed accessors parse it on
+/// demand and name the line in every error.
+struct Line<'a> {
+    no: usize,
+    fields: Vec<(&'a str, &'a str)>,
 }
 
-/// The decimal `u64` following `"key":` on `line`.
-fn num(line: &str, lineno: usize, key: &str) -> Result<u64, EnpropError> {
-    let needle = format!("\"{key}\":");
-    let at = line
-        .find(&needle)
-        .ok_or_else(|| snap_err(lineno, format!("missing \"{key}\"")))?;
-    let rest = &line[at + needle.len()..];
-    let end = rest
-        .find(|ch: char| !ch.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|_| snap_err(lineno, format!("malformed \"{key}\" value (truncated line?)")))
-}
+impl<'a> Line<'a> {
+    fn parse(text: &'a str, no: usize) -> Result<Self, EnpropError> {
+        let malformed = || snap_err(no, "malformed line (truncated?)");
+        let mut rest = text
+            .strip_prefix('{')
+            .and_then(|t| t.strip_suffix('}'))
+            .ok_or_else(malformed)?;
+        let mut fields = Vec::with_capacity(16);
+        while !rest.is_empty() {
+            let (key, tail) = rest
+                .strip_prefix('"')
+                .and_then(|r| r.split_once("\":"))
+                .ok_or_else(malformed)?;
+            let len = match tail.as_bytes().first() {
+                Some(b'"') => tail[1..].find('"').map(|i| i + 2),
+                Some(b'[') => tail.find(']').map(|i| i + 1),
+                _ => Some(tail.find(',').unwrap_or(tail.len())),
+            }
+            .ok_or_else(malformed)?;
+            fields.push((key, &tail[..len]));
+            rest = match &tail[len..] {
+                "" => "",
+                more => more.strip_prefix(',').filter(|r| !r.is_empty()).ok_or_else(malformed)?,
+            };
+        }
+        Ok(Line { no, fields })
+    }
 
-/// An f64 that traveled as its bit pattern.
-fn fnum(line: &str, lineno: usize, key: &str) -> Result<f64, EnpropError> {
-    Ok(f64::from_bits(num(line, lineno, key)?))
-}
+    fn get(&self, key: &str) -> Result<&'a str, EnpropError> {
+        self.fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| snap_err(self.no, format!("missing \"{key}\"")))
+    }
 
-/// The quoted string following `"key":` on `line`. Snapshot strings are
-/// counter names — static identifiers with no escapes — so the first
-/// closing quote ends the value.
-fn str_of<'l>(line: &'l str, lineno: usize, key: &str) -> Result<&'l str, EnpropError> {
-    let needle = format!("\"{key}\":\"");
-    let at = line
-        .find(&needle)
-        .ok_or_else(|| snap_err(lineno, format!("missing \"{key}\" string")))?;
-    let rest = &line[at + needle.len()..];
-    let end = rest
-        .find('"')
-        .ok_or_else(|| snap_err(lineno, format!("unterminated \"{key}\" string")))?;
-    Ok(&rest[..end])
-}
+    fn u64(&self, key: &str) -> Result<u64, EnpropError> {
+        self.get(key)?
+            .parse()
+            .map_err(|_| snap_err(self.no, format!("malformed \"{key}\" value (truncated line?)")))
+    }
 
-fn flag(line: &str, lineno: usize, key: &str) -> Result<bool, EnpropError> {
-    match num(line, lineno, key)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        v => Err(snap_err(lineno, format!("\"{key}\" must be 0 or 1, got {v}"))),
+    /// An `f64` that traveled as its bit pattern.
+    fn f64(&self, key: &str) -> Result<f64, EnpropError> {
+        Ok(f64::from_bits(self.u64(key)?))
+    }
+
+    /// An `f64` that must be finite and at least `min`: a negative work
+    /// amount, duration or sub-unit slowdown would run the clock backwards.
+    fn f64_min(&self, key: &str, min: f64) -> Result<f64, EnpropError> {
+        let v = self.f64(key)?;
+        if v.is_finite() && v >= min {
+            Ok(v)
+        } else {
+            Err(snap_err(self.no, format!("\"{key}\" out of range: {v}")))
+        }
+    }
+
+    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, EnpropError> {
+        self.fit(key, self.u64(key)?)
+    }
+
+    /// Narrow `v` (read as `what`) to `T`.
+    fn fit<T: TryFrom<u64>>(&self, what: &str, v: u64) -> Result<T, EnpropError> {
+        T::try_from(v).map_err(|_| snap_err(self.no, format!("\"{what}\" out of range: {v}")))
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, EnpropError> {
+        match self.u64(key)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(snap_err(self.no, format!("\"{key}\" must be 0 or 1, got {v}"))),
+        }
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, EnpropError> {
+        self.get(key)?
+            .strip_prefix('"')
+            .and_then(|v| v.strip_suffix('"'))
+            .ok_or_else(|| snap_err(self.no, format!("malformed \"{key}\" string")))
+    }
+
+    fn arr(&self, key: &str) -> Result<Vec<u64>, EnpropError> {
+        let malformed = || snap_err(self.no, format!("malformed \"{key}\" array"));
+        let body = self
+            .get(key)?
+            .strip_prefix('[')
+            .and_then(|v| v.strip_suffix(']'))
+            .ok_or_else(malformed)?;
+        if body.is_empty() {
+            return Ok(Vec::new());
+        }
+        body.split(',').map(|s| s.parse().map_err(|_| malformed())).collect()
+    }
+
+    /// A flat array read as consecutive `N`-tuples.
+    fn tuples<const N: usize>(&self, key: &str) -> Result<Vec<[u64; N]>, EnpropError> {
+        let flat = self.arr(key)?;
+        if flat.len() % N != 0 {
+            return Err(snap_err(
+                self.no,
+                format!("malformed \"{key}\" array: {} values is not a multiple of {N}", flat.len()),
+            ));
+        }
+        Ok(flat
+            .chunks_exact(N)
+            .map(|ch| {
+                let mut t = [0; N];
+                t.copy_from_slice(ch);
+                t
+            })
+            .collect())
+    }
+
+    /// A 4-word RNG state.
+    fn words(&self, key: &str) -> Result<[u64; 4], EnpropError> {
+        <[u64; 4]>::try_from(self.arr(key)?)
+            .map_err(|_| snap_err(self.no, format!("\"{key}\" must have exactly 4 words")))
     }
 }
 
-/// The `[a,b,…]` u64 array following `"key":` on `line`.
-fn arr(line: &str, lineno: usize, key: &str) -> Result<Vec<u64>, EnpropError> {
-    let needle = format!("\"{key}\":[");
-    let at = line
-        .find(&needle)
-        .ok_or_else(|| snap_err(lineno, format!("missing \"{key}\" array")))?;
-    let rest = &line[at + needle.len()..];
-    let end = rest
-        .find(']')
-        .ok_or_else(|| snap_err(lineno, format!("unterminated \"{key}\" array")))?;
-    let body = &rest[..end];
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|s| {
-            s.parse()
-                .map_err(|_| snap_err(lineno, format!("malformed \"{key}\" array element")))
-        })
-        .collect()
-}
-
-fn usize_of(v: u64, lineno: usize, what: &str) -> Result<usize, EnpropError> {
-    usize::try_from(v).map_err(|_| snap_err(lineno, format!("{what} out of range: {v}")))
-}
-
-fn u32_of(v: u64, lineno: usize, what: &str) -> Result<u32, EnpropError> {
-    u32::try_from(v).map_err(|_| snap_err(lineno, format!("{what} out of range: {v}")))
-}
-
-fn u8_of(v: u64, lineno: usize, what: &str) -> Result<u8, EnpropError> {
-    u8::try_from(v).map_err(|_| snap_err(lineno, format!("{what} out of range: {v}")))
-}
-
-fn sketch_of(
-    line: &str,
-    lineno: usize,
-    keys: (&str, &str, &str, &str, &str, &str),
-) -> Result<SketchState, EnpropError> {
-    let (alpha_k, maxb_k, count_k, sum_k, min_k, max_k) = keys;
-    let flat = arr(line, lineno, "buckets")?;
-    if flat.len() % 2 != 0 {
-        return Err(snap_err(lineno, "odd-length \"buckets\" array"));
-    }
-    let buckets = flat
-        .chunks_exact(2)
-        .map(|c| {
-            let k = i32::try_from(c[0] as i64)
-                .map_err(|_| snap_err(lineno, "bucket key out of i32 range"))?;
-            Ok((k, c[1]))
+/// The sketch on `l` whose count/sum/min/max keys carry prefix `p` (see
+/// [`push_sketch`]).
+fn sketch_of(l: &Line<'_>, p: &str) -> Result<SketchState, EnpropError> {
+    let buckets = l
+        .tuples::<2>("buckets")?
+        .into_iter()
+        .map(|[k, n]| {
+            let k = i32::try_from(k as i64)
+                .map_err(|_| snap_err(l.no, "bucket key out of range"))?;
+            Ok((k, n))
         })
         .collect::<Result<Vec<_>, EnpropError>>()?;
     Ok(SketchState {
-        alpha: fnum(line, lineno, alpha_k)?,
-        max_buckets: usize_of(num(line, lineno, maxb_k)?, lineno, "max_buckets")?,
+        alpha: l.f64("alpha")?,
+        max_buckets: l.int("maxb")?,
         buckets,
-        low: num(line, lineno, "lowc")?,
-        count: num(line, lineno, count_k)?,
-        sum: fnum(line, lineno, sum_k)?,
-        min: fnum(line, lineno, min_k)?,
-        max: fnum(line, lineno, max_k)?,
+        low: l.u64("lowc")?,
+        count: l.u64(&format!("{p}count"))?,
+        sum: l.f64(&format!("{p}sum"))?,
+        min: l.f64(&format!("{p}min"))?,
+        max: l.f64(&format!("{p}max"))?,
     })
 }
 
-fn ev_of(line: &str, lineno: usize) -> Result<Ev, EnpropError> {
-    let t = fnum(line, lineno, "t")?;
-    let seq = num(line, lineno, "seq")?;
-    let k = num(line, lineno, "k")?;
-    let a = num(line, lineno, "a")?;
-    let b = num(line, lineno, "b")?;
-    let kind = match k {
-        0 => EvKind::Arrival {
-            ops: f64::from_bits(a),
-            class: u8_of(b, lineno, "class")?,
-        },
-        1 => EvKind::Completion { node: usize_of(a, lineno, "node")?, epoch: b },
-        2 => EvKind::Timeout { req: a, dispatch: u32_of(b, lineno, "dispatch")? },
-        3 => EvKind::Redispatch { req: a },
+fn ev_of(l: &Line<'_>) -> Result<Ev, EnpropError> {
+    let kind = match l.u64("k")? {
+        0 => EvKind::Arrival { ops: l.f64_min("a", 0.0)?, class: l.int("b")? },
+        1 => EvKind::Completion { node: l.int("a")?, epoch: l.u64("b")? },
+        2 => EvKind::Timeout { req: l.u64("a")?, dispatch: l.int("b")? },
+        3 => EvKind::Redispatch { req: l.u64("a")? },
         4 => {
-            let c = fnum(line, lineno, "c")?;
-            let kind = match b {
+            let kind = match l.u64("b")? {
                 0 => FaultKind::Crash,
-                1 => FaultKind::Stall { duration_s: c },
-                2 => FaultKind::Straggler { slowdown: c },
-                other => return Err(snap_err(lineno, format!("unknown fault kind {other}"))),
+                1 => FaultKind::Stall { duration_s: l.f64_min("c", 0.0)? },
+                2 => FaultKind::Straggler { slowdown: l.f64_min("c", 1.0)? },
+                other => return Err(snap_err(l.no, format!("unknown fault kind {other}"))),
             };
-            EvKind::Fault { node: usize_of(a, lineno, "node")?, kind }
+            EvKind::Fault { node: l.int("a")?, kind }
         }
-        5 => EvKind::FaultWindow {
-            node: usize_of(a, lineno, "node")?,
-            window: u32_of(b, lineno, "window")?,
-        },
-        6 => EvKind::StallEnd { node: usize_of(a, lineno, "node")? },
-        7 => EvKind::StragglerEnd { node: usize_of(a, lineno, "node")? },
-        8 => EvKind::Repair { node: usize_of(a, lineno, "node")? },
+        5 => EvKind::FaultWindow { node: l.int("a")?, window: l.int("b")? },
+        6 => EvKind::StallEnd { node: l.int("a")? },
+        7 => EvKind::StragglerEnd { node: l.int("a")? },
+        8 => EvKind::Repair { node: l.int("a")? },
         9 => EvKind::HealthCheck,
         10 => EvKind::ControlTick,
         11 => EvKind::DrainDeadline,
-        12 => EvKind::DomainWindow { window: u32_of(a, lineno, "window")? },
+        12 => EvKind::DomainWindow { window: l.int("a")? },
         13 => {
-            let c = num(line, lineno, "c")?;
-            let d = num(line, lineno, "d")?;
-            let e = fnum(line, lineno, "e")?;
-            let f = fnum(line, lineno, "f")?;
-            let domain = match b {
-                0 => Domain::Rack(usize_of(c, lineno, "rack")?),
-                1 => Domain::Pdu(usize_of(c, lineno, "pdu")?),
+            let domain = match l.u64("b")? {
+                0 => Domain::Rack(l.int("c")?),
+                1 => Domain::Pdu(l.int("c")?),
                 2 => Domain::Cluster,
-                other => return Err(snap_err(lineno, format!("unknown domain tag {other}"))),
+                other => return Err(snap_err(l.no, format!("unknown domain tag {other}"))),
             };
-            let kind = match d {
+            let kind = match l.u64("d")? {
                 0 => DomainFaultKind::RackCrash,
                 1 => DomainFaultKind::PduLoss,
-                2 => DomainFaultKind::NetworkPartition { duration_s: e },
-                3 => DomainFaultKind::PowerEmergency { cap_w: e, duration_s: f },
+                2 => DomainFaultKind::NetworkPartition { duration_s: l.f64_min("e", 0.0)? },
+                3 => DomainFaultKind::PowerEmergency {
+                    cap_w: l.f64("e")?,
+                    duration_s: l.f64_min("f", 0.0)?,
+                },
                 other => {
-                    return Err(snap_err(lineno, format!("unknown domain fault kind {other}")))
+                    return Err(snap_err(l.no, format!("unknown domain fault kind {other}")))
                 }
             };
-            EvKind::DomainFault { event: DomainEvent { at_s: f64::from_bits(a), domain, kind } }
+            EvKind::DomainFault { event: DomainEvent { at_s: l.f64("a")?, domain, kind } }
         }
         14 => EvKind::EmergencyEnd,
-        other => return Err(snap_err(lineno, format!("unknown event kind {other}"))),
+        other => return Err(snap_err(l.no, format!("unknown event kind {other}"))),
     };
-    Ok(Ev { t, seq, kind })
+    Ok(Ev { t: l.f64("t")?, seq: l.u64("seq")?, kind })
 }
 
 /// Reject an event aimed at a node, rack or PDU the configured cluster and
@@ -594,17 +564,7 @@ fn check_ev_targets(c: &Controller<'_>, kind: &EvKind, lineno: usize) -> Result<
     Ok(())
 }
 
-fn rng_state(v: &[u64], lineno: usize, what: &str) -> Result<[u64; 4], EnpropError> {
-    <[u64; 4]>::try_from(v)
-        .map_err(|_| snap_err(lineno, format!("{what} must have exactly 4 words")))
-}
-
 // ---- restore ---------------------------------------------------------------
-
-/// The parsed `"plane"` head line, held until the group/series/ledger
-/// sections arrive: `(cur_index, cur_arrivals, cur_shed, cur_breaches,
-/// alert, burn_fast, burn_slow, breach ring)`.
-type PlaneHead = (u64, u64, u64, u64, bool, f64, f64, Vec<(u64, u64)>);
 
 /// What [`restore`] hands back beyond the controller state it writes in
 /// place: the arrival source's cursor and the recorder's aggregate counter
@@ -614,12 +574,83 @@ pub(crate) struct Restored {
     pub counters: Vec<(String, u64)>,
 }
 
+/// Apply one obs-plane section to `ps`, the fresh plane's own state.
+/// Geometry (`window_s`, `alpha`, `max_windows`) is configuration: it is
+/// compared with the snapshot, never read from it.
+fn restore_plane_line(ps: &mut PlaneState, sec: &str, l: &Line<'_>) -> Result<(), EnpropError> {
+    match sec {
+        "plane" => {
+            ps.cur_index = l.u64("cur_index")?;
+            ps.cur_arrivals = l.u64("cur_arrivals")?;
+            ps.cur_shed = l.u64("cur_shed")?;
+            ps.cur_breaches = l.u64("cur_breaches")?;
+            ps.alert = l.flag("alert")?;
+            ps.burn_fast = l.f64("bfast")?;
+            ps.burn_slow = l.f64("bslow")?;
+            ps.burn_ring = l.tuples::<2>("ring")?.into_iter().map(|[a, b]| (a, b)).collect();
+        }
+        "plane_group" => {
+            let gi: usize = l.int("i")?;
+            let g = ps
+                .groups
+                .get_mut(gi)
+                .ok_or_else(|| snap_err(l.no, format!("plane group index {gi} out of range")))?;
+            *g = PlaneGroupState {
+                energy_j: l.f64("energy")?,
+                ideal_j: l.f64("ideal")?,
+                outcome_j: [l.f64("o0")?, l.f64("o1")?, l.f64("o2")?, l.f64("o3")?],
+                completions: l.u64("completions")?,
+            };
+        }
+        "series" => {
+            let r = &mut ps.resp;
+            if l.u64("window_s")? != bits(r.window_s)
+                || l.u64("alpha")? != bits(r.alpha)
+                || l.u64("max_windows")? != r.max_windows as u64
+            {
+                return Err(snap_err(l.no, "series geometry differs from the configured plane"));
+            }
+            r.evicted_count = l.u64("evicted_count")?;
+            r.evicted_sum = l.f64("evicted_sum")?;
+        }
+        "series_win" => ps.resp.windows.push(WindowState {
+            index: l.u64("index")?,
+            count: l.u64("count")?,
+            sum: l.f64("sum")?,
+            sketch: sketch_of(l, "s")?,
+        }),
+        // "ledger", the one other section the caller routes here.
+        _ => {
+            let ledger = &mut ps.ledger;
+            ledger.charges = l
+                .tuples::<3>("charges")?
+                .into_iter()
+                .map(|[g, o, j]| {
+                    Ok((l.fit("charge group", g)?, l.fit("charge outcome", o)?, f64::from_bits(j)))
+                })
+                .collect::<Result<_, EnpropError>>()?;
+            ledger.ideal_j = l
+                .tuples::<2>("ideal")?
+                .into_iter()
+                .map(|[g, j]| Ok((l.fit("ideal group", g)?, f64::from_bits(j))))
+                .collect::<Result<_, EnpropError>>()?;
+            ledger.completed = l
+                .tuples::<2>("completed")?
+                .into_iter()
+                .map(|[g, n]| Ok((l.fit("completed group", g)?, n)))
+                .collect::<Result<_, EnpropError>>()?;
+        }
+    }
+    Ok(())
+}
+
 /// Restore `text` (produced by [`serialize`]) onto `c`, a fresh controller
 /// built from the same workload / cluster / plans / config. Returns the
 /// arrival source's snapshotted cursor (for the caller to re-seat) and the
 /// checkpointed recorder counter totals (for the caller to preload). Any
-/// mismatch — truncation, version skew, a different seed or cluster shape
-/// — is a typed configuration error.
+/// mismatch — truncation, version skew, a different seed, cluster shape or
+/// plane geometry, a missing or repeated section — is a typed
+/// configuration error.
 pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, EnpropError> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let total = lines.len();
@@ -630,13 +661,15 @@ pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, En
     }
     // Crash-consistency gate first: the trailer must exist and count every
     // preceding line, or the file was cut mid-write.
-    let last = lines[total - 1];
-    if sec_of(last) != Some("end") {
-        return Err(EnpropError::invalid_config(
-            "snapshot has no \"end\" trailer — truncated mid-write?".to_string(),
-        ));
-    }
-    let counted = num(last, total, "lines")?;
+    let trailer = Line::parse(lines[total - 1], total)
+        .ok()
+        .filter(|l| l.str("sec").is_ok_and(|s| s == "end"))
+        .ok_or_else(|| {
+            EnpropError::invalid_config(
+                "snapshot has no \"end\" trailer — truncated mid-write?".to_string(),
+            )
+        })?;
+    let counted = trailer.u64("lines")?;
     if counted != (total - 1) as u64 {
         return Err(EnpropError::invalid_config(format!(
             "snapshot trailer counts {counted} lines but {} precede it — truncated mid-write?",
@@ -644,25 +677,22 @@ pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, En
         )));
     }
     // Header: version + shape checks.
-    let header = lines[0];
-    match sec_of(header) {
-        Some(v) if v == SNAPSHOT_VERSION => {}
-        Some(v) => {
-            return Err(EnpropError::invalid_config(format!(
-                "snapshot version {v:?} is not the supported {SNAPSHOT_VERSION:?}"
-            )))
-        }
-        None => return Err(snap_err(1, "missing \"sec\" version tag")),
+    let header = Line::parse(lines[0], 1)?;
+    let version = header.str("sec")?;
+    if version != SNAPSHOT_VERSION {
+        return Err(EnpropError::invalid_config(format!(
+            "snapshot version {version:?} is not the supported {SNAPSHOT_VERSION:?}"
+        )));
     }
-    let seed = num(header, 1, "seed")?;
+    let seed = header.u64("seed")?;
     if seed != c.cfg.seed {
         return Err(snap_err(
             1,
             format!("snapshot seed {seed} != configured seed {}", c.cfg.seed),
         ));
     }
-    let n_groups = usize_of(num(header, 1, "groups")?, 1, "groups")?;
-    let n_nodes = usize_of(num(header, 1, "nodes")?, 1, "nodes")?;
+    let n_groups: usize = header.int("groups")?;
+    let n_nodes: usize = header.int("nodes")?;
     if n_groups != c.groups.len() || n_nodes != c.nodes.len() {
         return Err(snap_err(
             1,
@@ -673,374 +703,220 @@ pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, En
             ),
         ));
     }
-    let has_plane = flag(header, 1, "has_plane")?;
-    if has_plane != c.plane.is_some() {
+    if header.flag("has_plane")? != c.plane.is_some() {
         return Err(snap_err(
             1,
             "snapshot and config disagree on whether the obs plane is on (obs_window_s)",
         ));
     }
-    c.now = fnum(header, 1, "now")?;
-    c.seq = num(header, 1, "seq")?;
-    c.events = num(header, 1, "events")?;
+    c.now = header.f64("now")?;
+    if !c.now.is_finite() || c.now < 0.0 {
+        return Err(snap_err(1, format!("clock {} out of range", c.now)));
+    }
+    c.seq = header.u64("seq")?;
+    c.events = header.u64("events")?;
 
     let mut source: Option<SourceState> = None;
     let mut counters: Vec<(String, u64)> = Vec::new();
-    let mut saw_ctl = false;
-    let mut saw_pending = false;
-    let mut sketches_seen = 0u32;
-    let mut plane_head: Option<PlaneHead> = None;
-    let mut plane_groups: Vec<PlaneGroupState> = Vec::new();
-    let mut series_head: Option<(f64, f64, usize, u64, f64)> = None;
-    let mut series_wins: Vec<WindowState> = Vec::new();
-    let mut ledger: Option<LedgerState> = None;
+    let mut plane = c.plane.as_ref().map(ObsPlane::state);
+    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
     c.heap.clear();
     c.pending.clear();
     c.inflight.clear();
 
-    for (idx, line) in lines.iter().enumerate().take(total - 1).skip(1) {
-        let lineno = idx + 1;
-        let sec = sec_of(line).ok_or_else(|| snap_err(lineno, "missing \"sec\" tag"))?;
+    for (idx, text) in lines.iter().enumerate().take(total - 1).skip(1) {
+        let l = Line::parse(text, idx + 1)?;
+        let sec = l.str("sec")?;
+        *seen.entry(sec).or_insert(0) += 1;
         match sec {
             "ctl" => {
-                saw_ctl = true;
-                c.next_req_id = num(line, lineno, "next_req_id")?;
-                c.arrivals_done = flag(line, lineno, "arrivals_done")?;
-                c.drain_armed = flag(line, lineno, "drain_armed")?;
-                c.shed_mode = flag(line, lineno, "shed_mode")?;
-                c.shed_entries = num(line, lineno, "shed_entries")?;
-                c.cooldown = u32_of(num(line, lineno, "cooldown")?, lineno, "cooldown")?;
-                c.window_arrival_ops = fnum(line, lineno, "window_arrival_ops")?;
-                c.resp_sum = fnum(line, lineno, "resp_sum")?;
-                c.emergency_cap_w = fnum(line, lineno, "em_cap")?;
-                c.emergency_until_s = fnum(line, lineno, "em_until")?;
-                c.emergency_level = u32_of(num(line, lineno, "em_level")?, lineno, "em_level")?;
-                c.shed_class_floor =
-                    u8_of(num(line, lineno, "class_floor")?, lineno, "class_floor")?;
-                c.arrivals = num(line, lineno, "n_arrivals")?;
-                c.completions = num(line, lineno, "n_completions")?;
-                c.shed_admission = num(line, lineno, "n_shed_admission")?;
-                c.shed_retry = num(line, lineno, "n_shed_retry")?;
-                c.shed_backpressure = num(line, lineno, "n_shed_backpressure")?;
-                c.timeouts = num(line, lineno, "n_timeouts")?;
-                c.retries = num(line, lineno, "n_retries")?;
-                c.reroutes = num(line, lineno, "n_reroutes")?;
-                c.crashes = num(line, lineno, "n_crashes")?;
-                c.stalls = num(line, lineno, "n_stalls")?;
-                c.stragglers = num(line, lineno, "n_stragglers")?;
-                c.repairs = num(line, lineno, "n_repairs")?;
-                c.activations = num(line, lineno, "n_activations")?;
-                c.deactivations = num(line, lineno, "n_deactivations")?;
-                c.dvfs_up = num(line, lineno, "n_dvfs_up")?;
-                c.dvfs_down = num(line, lineno, "n_dvfs_down")?;
-                c.shed_toggles = num(line, lineno, "n_shed_toggles")?;
-                c.rack_crashes = num(line, lineno, "n_rack_crashes")?;
-                c.pdu_losses = num(line, lineno, "n_pdu_losses")?;
-                c.partitions = num(line, lineno, "n_partitions")?;
-                c.power_emergencies = num(line, lineno, "n_power_emergencies")?;
-                c.emergency_actions = num(line, lineno, "n_emergency_actions")?;
-                c.breaker_opens = num(line, lineno, "n_breaker_opens")?;
-                c.breaker_closes = num(line, lineno, "n_breaker_closes")?;
+                c.next_req_id = l.u64("next_req_id")?;
+                c.arrivals_done = l.flag("arrivals_done")?;
+                c.drain_armed = l.flag("drain_armed")?;
+                c.shed_mode = l.flag("shed_mode")?;
+                c.shed_entries = l.u64("shed_entries")?;
+                c.cooldown = l.int("cooldown")?;
+                c.window_arrival_ops = l.f64("window_arrival_ops")?;
+                c.resp_sum = l.f64("resp_sum")?;
+                c.emergency_cap_w = l.f64("em_cap")?;
+                c.emergency_until_s = l.f64("em_until")?;
+                c.emergency_level = l.int("em_level")?;
+                c.shed_class_floor = l.int("class_floor")?;
+                for (key, v) in c.tally.counters_mut() {
+                    *v = l.u64(key)?;
+                }
             }
-            "cnt" => {
-                counters.push((
-                    str_of(line, lineno, "name")?.to_string(),
-                    num(line, lineno, "total")?,
-                ));
-            }
+            "cnt" => counters.push((l.str("name")?.to_string(), l.u64("total")?)),
             "group" => {
-                let gi = usize_of(num(line, lineno, "i")?, lineno, "group index")?;
-                if gi >= c.groups.len() {
-                    return Err(snap_err(lineno, format!("group index {gi} out of range")));
+                let gi: usize = l.int("i")?;
+                let g = c
+                    .groups
+                    .get_mut(gi)
+                    .ok_or_else(|| snap_err(l.no, format!("group index {gi} out of range")))?;
+                let freq: usize = l.int("freq")?;
+                if freq >= g.rate_at.len() {
+                    return Err(snap_err(l.no, format!("freq_idx {freq} out of range")));
                 }
-                let freq = usize_of(num(line, lineno, "freq")?, lineno, "freq_idx")?;
-                if freq >= c.groups[gi].rate_at.len() {
-                    return Err(snap_err(lineno, format!("freq_idx {freq} out of range")));
-                }
-                c.groups[gi].freq_idx = freq;
-                let ba = num(line, lineno, "ba")?;
-                let bb = u32_of(num(line, lineno, "bb")?, lineno, "reopens")?;
-                c.groups[gi].breaker = match num(line, lineno, "brk")? {
-                    0 => Breaker::Closed { fails: u32_of(ba, lineno, "fails")? },
-                    1 => Breaker::Open { until_s: f64::from_bits(ba), reopens: bb },
-                    2 => Breaker::HalfOpen {
-                        probe: if ba == 0 { None } else { Some(ba - 1) },
-                        reopens: bb,
-                    },
+                g.freq_idx = freq;
+                let ba = l.u64("ba")?;
+                let reopens = l.int("bb")?;
+                g.breaker = match l.u64("brk")? {
+                    0 => Breaker::Closed { fails: l.fit("ba", ba)? },
+                    1 => Breaker::Open { until_s: f64::from_bits(ba), reopens },
+                    2 => Breaker::HalfOpen { probe: ba.checked_sub(1), reopens },
                     other => {
-                        return Err(snap_err(lineno, format!("unknown breaker state {other}")))
+                        return Err(snap_err(l.no, format!("unknown breaker state {other}")))
                     }
                 };
             }
             "node" => {
-                let i = usize_of(num(line, lineno, "i")?, lineno, "node index")?;
-                if i >= c.nodes.len() {
-                    return Err(snap_err(lineno, format!("node index {i} out of range")));
-                }
-                let queue: VecDeque<u64> = arr(line, lineno, "queue")?.into_iter().collect();
-                let current = if flag(line, lineno, "cur")? {
-                    Some(Running {
-                        req: num(line, lineno, "cur_req")?,
-                        remaining_ops: fnum(line, lineno, "cur_rem")?,
-                        energy_j: fnum(line, lineno, "cur_e")?,
-                    })
-                } else {
-                    None
-                };
-                let n = &mut c.nodes[i];
-                n.admin = match num(line, lineno, "admin")? {
+                let i: usize = l.int("i")?;
+                let n = c
+                    .nodes
+                    .get_mut(i)
+                    .ok_or_else(|| snap_err(l.no, format!("node index {i} out of range")))?;
+                n.admin = match l.u64("admin")? {
                     0 => Admin::Active,
                     1 => Admin::Draining,
                     2 => Admin::Deactivated,
                     3 => Admin::Down,
                     other => {
-                        return Err(snap_err(lineno, format!("unknown admin state {other}")))
+                        return Err(snap_err(l.no, format!("unknown admin state {other}")))
                     }
                 };
-                n.crashed = flag(line, lineno, "crashed")?;
-                n.unpowered = flag(line, lineno, "unpowered")?;
-                n.stalled_until = fnum(line, lineno, "stalled_until")?;
-                n.slowdown = fnum(line, lineno, "slowdown")?;
-                n.slow_until = fnum(line, lineno, "slow_until")?;
-                n.queued_ops = fnum(line, lineno, "queued_ops")?;
-                n.epoch = num(line, lineno, "epoch")?;
-                n.acct_t = fnum(line, lineno, "acct_t")?;
-                n.energy_j = fnum(line, lineno, "energy")?;
-                n.win_busy_j = fnum(line, lineno, "wb")?;
-                n.win_ideal_j = fnum(line, lineno, "wi")?;
-                n.win_idle_j = fnum(line, lineno, "wd")?;
-                n.down_span_open = flag(line, lineno, "down_span")?;
-                n.queue = queue;
-                n.current = current;
+                n.crashed = l.flag("crashed")?;
+                n.unpowered = l.flag("unpowered")?;
+                n.stalled_until = l.f64("stalled_until")?;
+                n.slowdown = l.f64_min("slowdown", 1.0)?;
+                n.slow_until = l.f64("slow_until")?;
+                n.queued_ops = l.f64_min("queued_ops", 0.0)?;
+                n.epoch = l.u64("epoch")?;
+                n.acct_t = l.f64("acct_t")?;
+                n.energy_j = l.f64("energy")?;
+                n.win_busy_j = l.f64("wb")?;
+                n.win_ideal_j = l.f64("wi")?;
+                n.win_idle_j = l.f64("wd")?;
+                n.down_span_open = l.flag("down_span")?;
+                n.queue = l.arr("queue")?.into();
+                n.current = if l.flag("cur")? {
+                    Some(Running {
+                        req: l.u64("cur_req")?,
+                        remaining_ops: l.f64_min("cur_rem", 0.0)?,
+                        energy_j: l.f64("cur_e")?,
+                    })
+                } else {
+                    None
+                };
             }
             "req" => {
-                let id = num(line, lineno, "id")?;
-                let loc = match num(line, lineno, "loc")? {
+                let loc = match l.u64("loc")? {
                     0 => Loc::Pending,
                     1 => Loc::Backoff,
                     2 => {
-                        let i = usize_of(num(line, lineno, "loc_node")?, lineno, "loc_node")?;
+                        let i: usize = l.int("loc_node")?;
                         if i >= c.nodes.len() {
-                            return Err(snap_err(lineno, format!("loc_node {i} out of range")));
+                            return Err(snap_err(l.no, format!("loc_node {i} out of range")));
                         }
                         Loc::OnNode(i)
                     }
-                    other => return Err(snap_err(lineno, format!("unknown req loc {other}"))),
+                    other => return Err(snap_err(l.no, format!("unknown req loc {other}"))),
                 };
-                let exclude = match num(line, lineno, "exclude")? {
+                let exclude = match l.u64("exclude")? {
                     0 => None,
-                    e => Some(usize_of(e - 1, lineno, "exclude")?),
+                    e => Some(l.fit("exclude", e - 1)?),
                 };
-                c.inflight.insert(
-                    id,
-                    Req {
-                        arrived: fnum(line, lineno, "arrived")?,
-                        ops: fnum(line, lineno, "ops")?,
-                        class: u8_of(num(line, lineno, "class")?, lineno, "class")?,
-                        attempt: u32_of(num(line, lineno, "attempt")?, lineno, "attempt")?,
-                        dispatch: u32_of(num(line, lineno, "dispatch")?, lineno, "dispatch")?,
-                        loc,
-                        exclude,
-                        traced: flag(line, lineno, "traced")?,
-                    },
-                );
+                let req = Req {
+                    arrived: l.f64("arrived")?,
+                    ops: l.f64_min("ops", 0.0)?,
+                    class: l.int("class")?,
+                    attempt: l.int("attempt")?,
+                    dispatch: l.int("dispatch")?,
+                    loc,
+                    exclude,
+                    traced: l.flag("traced")?,
+                };
+                c.inflight.insert(l.u64("id")?, req);
             }
-            "pending" => {
-                saw_pending = true;
-                c.pending = arr(line, lineno, "ids")?.into_iter().collect();
-            }
+            "pending" => c.pending = l.arr("ids")?.into(),
             "sketch" => {
-                let s = sketch_of(line, lineno, ("alpha", "maxb", "count", "sum", "min", "max"))?;
-                match num(line, lineno, "which")? {
-                    0 => c.tick_sketch = QuantileSketch::from_state(s),
-                    1 => c.run_sketch = QuantileSketch::from_state(s),
+                let s = QuantileSketch::from_state(sketch_of(&l, "")?);
+                match l.u64("which")? {
+                    0 => c.tick_sketch = s,
+                    1 => c.run_sketch = s,
                     other => {
-                        return Err(snap_err(lineno, format!("unknown sketch slot {other}")))
+                        return Err(snap_err(l.no, format!("unknown sketch slot {other}")))
                     }
                 }
-                sketches_seen += 1;
             }
-            "plane" => {
-                let flat = arr(line, lineno, "ring")?;
-                if flat.len() % 2 != 0 {
-                    return Err(snap_err(lineno, "odd-length \"ring\" array"));
-                }
-                let ring = flat.chunks_exact(2).map(|ch| (ch[0], ch[1])).collect();
-                plane_head = Some((
-                    num(line, lineno, "cur_index")?,
-                    num(line, lineno, "cur_arrivals")?,
-                    num(line, lineno, "cur_shed")?,
-                    num(line, lineno, "cur_breaches")?,
-                    flag(line, lineno, "alert")?,
-                    fnum(line, lineno, "bfast")?,
-                    fnum(line, lineno, "bslow")?,
-                    ring,
-                ));
-            }
-            "plane_group" => {
-                plane_groups.push(PlaneGroupState {
-                    energy_j: fnum(line, lineno, "energy")?,
-                    ideal_j: fnum(line, lineno, "ideal")?,
-                    outcome_j: [
-                        fnum(line, lineno, "o0")?,
-                        fnum(line, lineno, "o1")?,
-                        fnum(line, lineno, "o2")?,
-                        fnum(line, lineno, "o3")?,
-                    ],
-                    completions: num(line, lineno, "completions")?,
-                });
-            }
-            "series" => {
-                series_head = Some((
-                    fnum(line, lineno, "window_s")?,
-                    fnum(line, lineno, "alpha")?,
-                    usize_of(num(line, lineno, "max_windows")?, lineno, "max_windows")?,
-                    num(line, lineno, "evicted_count")?,
-                    fnum(line, lineno, "evicted_sum")?,
-                ));
-            }
-            "series_win" => {
-                series_wins.push(WindowState {
-                    index: num(line, lineno, "index")?,
-                    count: num(line, lineno, "count")?,
-                    sum: fnum(line, lineno, "sum")?,
-                    sketch: sketch_of(
-                        line,
-                        lineno,
-                        ("alpha", "maxb", "scount", "ssum", "smin", "smax"),
-                    )?,
-                });
-            }
-            "ledger" => {
-                let ch = arr(line, lineno, "charges")?;
-                if ch.len() % 3 != 0 {
-                    return Err(snap_err(lineno, "odd-shaped \"charges\" array"));
-                }
-                let charges = ch
-                    .chunks_exact(3)
-                    .map(|t| {
-                        Ok((
-                            u16::try_from(t[0])
-                                .map_err(|_| snap_err(lineno, "charge group out of range"))?,
-                            u8_of(t[1], lineno, "charge outcome")?,
-                            f64::from_bits(t[2]),
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, EnpropError>>()?;
-                let id = arr(line, lineno, "ideal")?;
-                if id.len() % 2 != 0 {
-                    return Err(snap_err(lineno, "odd-length \"ideal\" array"));
-                }
-                let ideal_j = id
-                    .chunks_exact(2)
-                    .map(|t| {
-                        Ok((
-                            u16::try_from(t[0])
-                                .map_err(|_| snap_err(lineno, "ideal group out of range"))?,
-                            f64::from_bits(t[1]),
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, EnpropError>>()?;
-                let co = arr(line, lineno, "completed")?;
-                if co.len() % 2 != 0 {
-                    return Err(snap_err(lineno, "odd-length \"completed\" array"));
-                }
-                let completed = co
-                    .chunks_exact(2)
-                    .map(|t| {
-                        Ok((
-                            u16::try_from(t[0])
-                                .map_err(|_| snap_err(lineno, "completed group out of range"))?,
-                            t[1],
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, EnpropError>>()?;
-                ledger = Some(LedgerState { charges, ideal_j, completed });
+            "plane" | "plane_group" | "series" | "series_win" | "ledger" => {
+                let ps = plane.as_mut().ok_or_else(|| {
+                    snap_err(l.no, format!("\"{sec}\" section but the obs plane is off"))
+                })?;
+                restore_plane_line(ps, sec, &l)?;
             }
             "ev" => {
-                let ev = ev_of(line, lineno)?;
-                check_ev_targets(c, &ev.kind, lineno)?;
+                let ev = ev_of(&l)?;
+                check_ev_targets(c, &ev.kind, l.no)?;
+                if !ev.t.is_finite() || ev.t < c.now {
+                    return Err(snap_err(l.no, format!("event time {} precedes the clock", ev.t)));
+                }
                 if ev.seq >= c.seq {
                     return Err(snap_err(
-                        lineno,
+                        l.no,
                         format!("event seq {} >= header seq cursor {}", ev.seq, c.seq),
                     ));
                 }
                 c.heap.push(Reverse(ev));
             }
             "source" => {
-                source = Some(match num(line, lineno, "kind")? {
+                source = Some(match l.u64("kind")? {
                     0 => SourceState::Synthetic {
-                        gap: rng_state(&arr(line, lineno, "g")?, lineno, "\"g\"")?,
-                        size: rng_state(&arr(line, lineno, "s")?, lineno, "\"s\"")?,
-                        class: rng_state(&arr(line, lineno, "c")?, lineno, "\"c\"")?,
-                        t: fnum(line, lineno, "t")?,
-                        remaining: num(line, lineno, "remaining")?,
+                        gap: l.words("g")?,
+                        size: l.words("s")?,
+                        class: l.words("c")?,
+                        t: l.f64("t")?,
+                        remaining: l.u64("remaining")?,
                     },
-                    1 => SourceState::Replay {
-                        next: usize_of(num(line, lineno, "next")?, lineno, "next")?,
-                    },
+                    1 => SourceState::Replay { next: l.int("next")? },
                     other => {
-                        return Err(snap_err(lineno, format!("unknown source kind {other}")))
+                        return Err(snap_err(l.no, format!("unknown source kind {other}")))
                     }
                 });
             }
-            other => return Err(snap_err(lineno, format!("unknown section {other:?}"))),
+            other => return Err(snap_err(l.no, format!("unknown section {other:?}"))),
         }
     }
 
-    if !saw_ctl {
-        return Err(EnpropError::invalid_config(
-            "snapshot has no \"ctl\" section".to_string(),
-        ));
+    // Every section appears exactly as often as the writer emits it: a
+    // missing one would leave fresh state behind, a repeated one would
+    // silently override its twin.
+    let mut expected = vec![
+        ("ctl", 1),
+        ("group", c.groups.len()),
+        ("node", c.nodes.len()),
+        ("pending", 1),
+        ("sketch", 2),
+        ("source", 1),
+    ];
+    if plane.is_some() {
+        expected.extend([
+            ("plane", 1),
+            ("plane_group", c.groups.len()),
+            ("series", 1),
+            ("ledger", 1),
+        ]);
     }
-    if !saw_pending {
-        return Err(EnpropError::invalid_config(
-            "snapshot has no \"pending\" section".to_string(),
-        ));
+    for (sec, want) in expected {
+        let got = seen.get(sec).copied().unwrap_or(0);
+        if got != want {
+            return Err(EnpropError::invalid_config(format!(
+                "snapshot has {got} \"{sec}\" sections, expected {want}"
+            )));
+        }
     }
-    if sketches_seen != 2 {
-        return Err(EnpropError::invalid_config(format!(
-            "snapshot has {sketches_seen} sketch sections, expected 2"
-        )));
-    }
-    if has_plane {
-        let (cur_index, cur_arrivals, cur_shed, cur_breaches, alert, burn_fast, burn_slow, ring) =
-            plane_head.ok_or_else(|| {
-                EnpropError::invalid_config("snapshot has no \"plane\" section".to_string())
-            })?;
-        let (window_s, alpha, max_windows, evicted_count, evicted_sum) =
-            series_head.ok_or_else(|| {
-                EnpropError::invalid_config("snapshot has no \"series\" section".to_string())
-            })?;
-        let ledger = ledger.ok_or_else(|| {
-            EnpropError::invalid_config("snapshot has no \"ledger\" section".to_string())
-        })?;
-        let ps = PlaneState {
-            resp: SeriesState {
-                window_s,
-                alpha,
-                max_windows,
-                windows: series_wins,
-                evicted_count,
-                evicted_sum,
-            },
-            ledger,
-            cur_index,
-            cur_arrivals,
-            cur_shed,
-            cur_breaches,
-            groups: plane_groups,
-            burn_ring: ring,
-            alert,
-            burn_fast,
-            burn_slow,
-        };
-        let plane = c.plane.as_mut().expect("has_plane checked against c.plane");
-        plane.restore(&ps)?;
-        c.plane_next_close_s = plane.next_close_s();
-    } else {
-        c.plane_next_close_s = f64::INFINITY;
+    if let (Some(ps), Some(p)) = (&plane, c.plane.as_mut()) {
+        p.restore(ps)?;
+        c.plane_next_close_s = p.next_close_s();
     }
     let source = source.ok_or_else(|| {
         EnpropError::invalid_config("snapshot has no \"source\" section".to_string())
@@ -1053,15 +929,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sec_and_num_parse_the_line_shapes_we_emit() {
-        let line = "{\"sec\":\"ctl\",\"a\":7,\"ab\":9,\"xs\":[1,2,3],\"empty\":[]}";
-        assert_eq!(sec_of(line), Some("ctl"));
-        assert_eq!(num(line, 1, "a").unwrap(), 7);
-        assert_eq!(num(line, 1, "ab").unwrap(), 9);
-        assert_eq!(arr(line, 1, "xs").unwrap(), vec![1, 2, 3]);
-        assert_eq!(arr(line, 1, "empty").unwrap(), Vec::<u64>::new());
-        let err = num(line, 3, "missing").unwrap_err().to_string();
-        assert!(err.contains("line 3"), "{err}");
+    fn line_reader_parses_the_shapes_we_emit() {
+        let text = "{\"sec\":\"ctl\",\"a\":7,\"ab\":9,\"xs\":[1,2,3],\"empty\":[]}";
+        let l = Line::parse(text, 3).unwrap();
+        assert_eq!(l.str("sec").unwrap(), "ctl");
+        assert_eq!(l.u64("a").unwrap(), 7);
+        assert_eq!(l.u64("ab").unwrap(), 9);
+        assert_eq!(l.arr("xs").unwrap(), vec![1, 2, 3]);
+        assert_eq!(l.arr("empty").unwrap(), Vec::<u64>::new());
+        assert_eq!(l.int::<u8>("ab").unwrap(), 9);
+        let err = l.u64("missing").unwrap_err().to_string();
+        assert!(err.contains("line 3") && err.contains("missing"), "{err}");
+        let err = l.tuples::<2>("xs").unwrap_err().to_string();
+        assert!(err.contains("malformed"), "{err}");
+        assert!(l.words("xs").is_err());
+        let err = Line::parse("{\"sec\":\"ctl\",\"a\":7", 4).err().unwrap().to_string();
+        assert!(err.contains("line 4") && err.contains("truncated"), "{err}");
+        let big = Line::parse("{\"v\":300}", 1).unwrap();
+        let err = big.int::<u8>("v").unwrap_err().to_string();
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]
@@ -1100,7 +986,7 @@ mod tests {
         for ev in &evs {
             let mut line = String::new();
             ev_line(&mut line, ev);
-            let back = ev_of(line.trim_end(), 1).expect("round trip");
+            let back = ev_of(&Line::parse(line.trim_end(), 1).unwrap()).expect("round trip");
             assert_eq!(back.t.to_bits(), ev.t.to_bits());
             assert_eq!(back.seq, ev.seq);
             // EvKind carries no PartialEq; compare through the encoding.
@@ -1112,7 +998,6 @@ mod tests {
 
     #[test]
     fn sketch_state_round_trips_negative_bucket_keys() {
-        let mut out = String::new();
         let s = SketchState {
             alpha: 0.01,
             max_buckets: 64,
@@ -1123,15 +1008,13 @@ mod tests {
             min: 0.001,
             max: 2.0,
         };
-        sketch_line(&mut out, 0, &s);
-        let back = sketch_of(
-            out.trim_end(),
-            1,
-            ("alpha", "maxb", "count", "sum", "min", "max"),
-        )
-        .expect("round trip");
-        assert_eq!(back.buckets, s.buckets);
-        assert_eq!(back.count, s.count);
-        assert_eq!(back.sum.to_bits(), s.sum.to_bits());
+        for p in ["", "s"] {
+            // A series window's own count/sum precede its sketch's.
+            let mut out = String::from(if p.is_empty() { "{" } else { "{\"count\":3,\"sum\":0," });
+            push_sketch(&mut out, &s, p);
+            out.push('}');
+            let back = sketch_of(&Line::parse(&out, 1).unwrap(), p).expect("round trip");
+            assert_eq!(back, s);
+        }
     }
 }

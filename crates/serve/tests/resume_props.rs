@@ -20,16 +20,17 @@
 
 use enprop_clustersim::ClusterSpec;
 use enprop_faults::{
-    DomainFaultKind, DomainFaultProfile, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel,
-    Topology, TopologyFaultPlan,
+    DomainFaultKind, DomainFaultProfile, EnpropError, FaultKind, FaultPlan, GroupFaultProfile,
+    MtbfModel, Topology, TopologyFaultPlan,
 };
 use enprop_obs::MemoryRecorder;
 use enprop_serve::{
-    ArrivalModel, ArrivalSource, Controller, RunHooks, RunOutcome, ServeConfig, ServeReport,
-    SyntheticArrivals,
+    parse_trace, ArrivalModel, ArrivalSource, Controller, RunHooks, RunOutcome, ServeConfig,
+    ServeReport, SyntheticArrivals,
 };
 use enprop_workloads::{catalog, Workload};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 struct Scenario {
     workload: Workload,
@@ -126,7 +127,10 @@ fn run(s: &Scenario, kill_after_events: Option<u64>) -> Run {
     Run { outcome, rec, checkpoints }
 }
 
-fn resume(s: &Scenario, snapshot: &str) -> (ServeReport, MemoryRecorder) {
+fn try_resume(
+    s: &Scenario,
+    snapshot: &str,
+) -> Result<(RunOutcome, MemoryRecorder), EnpropError> {
     let mut source = source_for(s);
     let mut rec = MemoryRecorder::new();
     let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
@@ -140,8 +144,13 @@ fn resume(s: &Scenario, snapshot: &str) -> (ServeReport, MemoryRecorder) {
         &mut rec,
         snapshot,
         &mut hooks,
-    )
-    .expect("resume from a good snapshot must not error");
+    )?;
+    Ok((outcome, rec))
+}
+
+fn resume(s: &Scenario, snapshot: &str) -> (ServeReport, MemoryRecorder) {
+    let (outcome, rec) =
+        try_resume(s, snapshot).expect("resume from a good snapshot must not error");
     match outcome {
         RunOutcome::Completed(r) => (*r, rec),
         RunOutcome::Killed { .. } => panic!("no kill hook installed"),
@@ -234,21 +243,9 @@ fn truncated_snapshot_is_a_typed_error() {
 
     // Shear off the trailer and half a line.
     let cut = &snap[..snap.len() - snap.lines().last().unwrap().len() - 10];
-    let mut source = source_for(&s);
-    let mut rec = MemoryRecorder::new();
-    let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
-    let err = Controller::resume_full(
-        &s.workload,
-        &s.cluster,
-        &s.plan,
-        Some(&s.topo),
-        &s.cfg,
-        &mut source,
-        &mut rec,
-        cut,
-        &mut hooks,
-    )
-    .expect_err("truncated snapshot must not resume");
+    let Err(err) = try_resume(&s, cut) else {
+        panic!("truncated snapshot must not resume");
+    };
     assert_eq!(err.exit_code(), 2, "InvalidConfig → exit 2: {err}");
     let msg = err.to_string();
     assert!(msg.contains("truncated"), "must say truncated: {msg}");
@@ -297,23 +294,41 @@ fn out_of_range_event_targets_are_typed_errors() {
             .map(|(i, l)| if i == lineno { set_field(l, key, 999) } else { l.to_string() })
             .map(|l| l + "\n")
             .collect();
-        let mut source = source_for(&s);
-        let mut rec = MemoryRecorder::new();
-        let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
-        let err = Controller::resume_full(
-            &s.workload,
-            &s.cluster,
-            &s.plan,
-            Some(&s.topo),
-            &s.cfg,
-            &mut source,
-            &mut rec,
-            &corrupt,
-            &mut hooks,
-        )
-        .expect_err("an out-of-range index must not resume");
+        let Err(err) = try_resume(&s, &corrupt) else {
+            panic!("an out-of-range index must not resume");
+        };
         assert_eq!(err.exit_code(), 2, "{what}: InvalidConfig → exit 2: {err}");
         assert!(err.to_string().contains("out of range"), "{what}: {err}");
+    }
+}
+
+/// A checkpoint whose `series` line carries a window length other than the
+/// configured `obs_window_s` is a typed configuration error (exit 2). The
+/// window length is configuration, so restore compares it instead of
+/// adopting it; adopting it hung or silently changed the resumed run.
+#[test]
+fn series_geometry_mismatch_is_a_typed_error() {
+    let s = scenario(7, 2, 200, 10.0, 60.0);
+    let full = run(&s, None);
+    let snap = full.checkpoints.first().expect("at least one checkpoint");
+    for window_s in [1, 0.5f64.to_bits()] {
+        let corrupt: String = snap
+            .lines()
+            .map(|l| {
+                if l.contains("\"sec\":\"series\",") {
+                    set_field(l, "window_s", window_s)
+                } else {
+                    l.to_string()
+                }
+            })
+            .map(|l| l + "\n")
+            .collect();
+        assert_ne!(&corrupt, snap);
+        let Err(err) = try_resume(&s, &corrupt) else {
+            panic!("a foreign window length must not resume");
+        };
+        assert_eq!(err.exit_code(), 2, "InvalidConfig → exit 2: {err}");
+        assert!(err.to_string().contains("geometry"), "{err}");
     }
 }
 
@@ -376,5 +391,89 @@ fn counter_totals_survive_resume() {
             re,
             "kill@{kill_at}: resumed event tail diverged"
         );
+    }
+}
+
+// ---- parsers of outside bytes never panic ---------------------------------
+
+/// One byte-level mutation: `(op, at, len, bit)`. `op` 0 flips bit `bit`
+/// of the byte at fraction `at` of the text, 1 truncates there, 2 deletes
+/// `len` bytes from there and 3 duplicates them in place.
+type Mutation = (u8, f64, usize, u8);
+
+fn mutate(text: &str, muts: &[Mutation]) -> String {
+    let mut b = text.as_bytes().to_vec();
+    for &(op, at, len, bit) in muts {
+        if b.is_empty() {
+            break;
+        }
+        let at = ((at * b.len() as f64) as usize).min(b.len() - 1);
+        let end = (at + len).min(b.len());
+        match op {
+            0 => b[at] ^= 1 << bit,
+            1 => b.truncate(at),
+            2 => {
+                b.drain(at..end);
+            }
+            _ => {
+                let span = b[at..end].to_vec();
+                b.splice(end..end, span);
+            }
+        }
+    }
+    String::from_utf8_lossy(&b).into_owned()
+}
+
+fn mutations() -> impl Strategy<Value = Vec<Mutation>> {
+    proptest::collection::vec((0u8..4, 0.0f64..1.0, 1usize..41, 0u8..8), 1..4)
+}
+
+/// `text` with its `end` trailer recounted, so a mutation that adds or
+/// drops a line still reaches the section parsers.
+fn reseal(text: &str) -> String {
+    let body: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with("{\"sec\":\"end\""))
+        .collect();
+    let mut out = body.join("\n");
+    out.push_str(&format!("\n{{\"sec\":\"end\",\"lines\":{}}}\n", body.len()));
+    out
+}
+
+/// The middle checkpoint of a chaos scenario with domain faults, breakers
+/// and the obs plane on.
+fn fuzz_base() -> &'static str {
+    static BASE: OnceLock<String> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let full = run(&scenario(7, 2, 400, 3.0, 60.0), None);
+        full.checkpoints[full.checkpoints.len() / 2].clone()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// A checkpoint with flipped bits, a cut, a deleted or a duplicated
+    /// span either resumes or is a typed error (exit 2, or exit 4 when
+    /// the mangled state trips a run guard), never a panic.
+    #[test]
+    fn mutated_snapshot_never_panics(muts in mutations(), recount in 0u8..2) {
+        let s = scenario(7, 2, 400, 3.0, 60.0);
+        let mut text = mutate(fuzz_base(), &muts);
+        if recount == 1 {
+            text = reseal(&text);
+        }
+        if let Err(e) = try_resume(&s, &text) {
+            prop_assert!(matches!(e.exit_code(), 2 | 4), "exit {}: {e}", e.exit_code());
+        }
+    }
+
+    /// The same for the JSONL arrival-trace parser: `Ok` or exit 2.
+    #[test]
+    fn mutated_trace_never_panics(muts in mutations()) {
+        let text = mutate(include_str!("../../../examples/replay_trace.jsonl"), &muts);
+        if let Err(e) = parse_trace(&text, 1.0e5) {
+            prop_assert_eq!(e.exit_code(), 2, "{}", e);
+        }
     }
 }

@@ -6,8 +6,10 @@
 # with the uninterrupted run twice over: the printed report must be
 # identical, and the resumed run's raw telemetry stream must equal the
 # tail of the uninterrupted run's stream line for line (the resume
-# invariant: event-for-event, joule-for-joule). Appends the resume wall
-# time to BENCH_serve_replay.json so regressions show up in the history.
+# invariant: event-for-event, joule-for-joule). Then a torn checkpoint
+# and one with a foreign series geometry must both be rejected with exit
+# 2 within 60 s. Appends the resume wall time to BENCH_serve_replay.json
+# so regressions show up in the history.
 #
 # $ENPROP overrides the binary under test (default: the release build).
 set -eu
@@ -45,6 +47,24 @@ grep -q "conservation: OK" "$tmp/full.txt"
 # The resumed telemetry stream is the tail of the uninterrupted one.
 tail_lines="$(wc -l < "$tmp/resumed.jsonl")"
 tail -n "$tail_lines" "$tmp/full.jsonl" | diff - "$tmp/resumed.jsonl"
+
+# Corrupted checkpoints are typed errors (exit 2), never a hang or a
+# silently different run: one torn before its `end` trailer, and one whose
+# series window length disagrees with the configured obs plane.
+sed '$d' "$tmp/ckpt.jsonl" > "$tmp/torn.jsonl"
+sed '/"sec":"series"/s/"window_s":[0-9]*/"window_s":1/' "$tmp/ckpt.jsonl" \
+    > "$tmp/geometry.jsonl"
+grep -q '"window_s":1,' "$tmp/geometry.jsonl"
+for bad in torn geometry; do
+    rc=0
+    # shellcheck disable=SC2086
+    timeout 60 "$ENPROP" serve $flags --resume-from "$tmp/$bad.jsonl" \
+        > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "resume-smoke: $bad checkpoint resumed with exit $rc, want 2" >&2
+        exit 1
+    fi
+done
 
 printf '{"cmd":"serve.resume","wall_ms":%s,"seed":%s}\n' \
     "$wall_ms" "$seed" >> BENCH_serve_replay.json
