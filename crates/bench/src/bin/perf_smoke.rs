@@ -19,10 +19,16 @@
 //! least `STREAM_SPEEDUP`× faster — the win comes from SoA evaluation
 //! and dominance pruning, not parallelism, so it too holds on one core.
 //! Appends `space_eval.pooled_1m` and `space_eval.stream_pruned` rows.
+//!
+//! A third row, `space_eval.sweep_cached_fn4`, times the materialized
+//! path the paper's figures use: the footnote-4 space (≤ 32 A9, ≤ 12 K10)
+//! swept with the memo on one thread, then its `pareto_front`. Its wall
+//! time over a fixed space is ns per config times a constant, so the
+//! gate's trajectory check guards the per-config cost.
 
 use enprop_explore::{
-    configurations, count_configurations, evaluate_space_with, stream_pareto_front, EvalOptions,
-    StreamOptions, TypeSpace,
+    configurations, count_configurations, evaluate_space_with, pareto_front, stream_pareto_front,
+    EvalOptions, StreamOptions, TypeSpace,
 };
 use enprop_obs::{append_bench_record, BenchRecord};
 use enprop_workloads::Workload;
@@ -146,23 +152,51 @@ fn main() -> ExitCode {
         mega_stats.peak_buffer_bytes / 1024,
     );
 
+    // The footnote-4 sweep: memoized, one thread, then the front.
+    let fn4_types = [TypeSpace::a9(32), TypeSpace::k10(12)];
+    let fn4 = count_configurations(&fn4_types);
+    let fn4_ms = best_of(|| {
+        let (evald, _) = evaluate_space_with(
+            &w,
+            configurations(&fn4_types),
+            EvalOptions {
+                threads: Some(1),
+                cache: true,
+            },
+        );
+        assert_eq!(evald.len() as u64, fn4);
+        assert!(!pareto_front(&evald).is_empty());
+    });
+    println!(
+        "perf-smoke: EP footnote-4 sweep + front over {fn4} configurations, 1 thread: \
+         {fn4_ms:>8.2} ms ({:.1} ns/config)",
+        fn4_ms * 1e6 / fn4 as f64
+    );
+
     let path = Path::new("BENCH_space_eval.json");
     // `seed` records the pool size: the sweep has no RNG, and the thread
     // count is the one knob that changes the timing's meaning.
-    for (cmd, wall_ms) in [
+    let mut records: Vec<BenchRecord> = [
         ("space_eval.seq1", seq),
         ("space_eval.pooled", pooled),
         ("space_eval.pooled_cached", cached),
         ("space_eval.pooled_1m", pooled_1m),
         ("space_eval.stream_pruned", stream),
-    ] {
-        let record = BenchRecord::new(cmd, wall_ms, threads as u64);
-        if let Err(e) = append_bench_record(path, &record) {
+    ]
+    .into_iter()
+    .map(|(cmd, wall_ms)| BenchRecord::new(cmd, wall_ms, threads as u64))
+    .collect();
+    records.push(BenchRecord {
+        req_per_s: Some(fn4 as f64 / (fn4_ms / 1e3)),
+        ..BenchRecord::new("space_eval.sweep_cached_fn4", fn4_ms, 1)
+    });
+    for record in &records {
+        if let Err(e) = append_bench_record(path, record) {
             eprintln!("perf-smoke: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
-    println!("  appended 5 records to {}", path.display());
+    println!("  appended {} records to {}", records.len(), path.display());
 
     if cached > seq * MARGIN {
         eprintln!(

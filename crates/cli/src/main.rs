@@ -107,8 +107,9 @@ Options:
   --deadline S  Deadline in seconds for `sweet`
   --scale X     Kernel size multiplier for `kernels` (default 0.2)
   --threads N   Worker threads for configuration-space evaluation
-                (default: ENPROP_THREADS/RAYON_NUM_THREADS env, else all
-                cores; results are bit-identical for any thread count)
+                (default: RAYON_NUM_THREADS/ENPROP_THREADS env, else all
+                cores; at most the host's available parallelism; results
+                are bit-identical for any thread count)
 
 Telemetry options (any command):
   --trace-out FILE    Write the sim-time trace: Chrome trace-event JSON
@@ -170,6 +171,40 @@ fn require_num<T: std::str::FromStr>(
     parse_num(args, name)?.ok_or_else(|| EnpropError::invalid_parameter(name, why))
 }
 
+/// Environment variables the evaluation pool reads for its worker count,
+/// in the order it reads them.
+const THREAD_VARS: [&str; 2] = ["RAYON_NUM_THREADS", "ENPROP_THREADS"];
+
+/// The worker count to pin before any pool exists: `--threads N` when
+/// `N > 0`, else the first of [`THREAD_VARS`] that holds a positive count
+/// (the pool's own order), read once here. `Ok(None)` leaves the host
+/// default. A count above `cap` (the host's available parallelism) is a
+/// typed error (exit code 2) naming the cap: more workers than cores buy
+/// nothing, and a huge count would start thousands of OS threads.
+fn requested_threads(
+    args: &[String],
+    env: impl Fn(&str) -> Option<String>,
+    cap: usize,
+) -> Result<Option<usize>, EnpropError> {
+    let flag = parse_num::<usize>(args, "--threads")?.filter(|&n| n > 0);
+    let requested = flag.map(|n| ("--threads", n)).or_else(|| {
+        THREAD_VARS.into_iter().find_map(|var| {
+            let n = env(var)?.parse::<usize>().ok()?;
+            (n > 0).then_some((var, n))
+        })
+    });
+    let Some((what, n)) = requested else {
+        return Ok(None);
+    };
+    if n > cap {
+        return Err(EnpropError::invalid_parameter(
+            what,
+            format!("{n} worker threads exceeds this host's available parallelism of {cap}"),
+        ));
+    }
+    Ok(Some(n))
+}
+
 fn main() {
     if let Err(e) = run() {
         eprintln!("error: {e}");
@@ -209,7 +244,8 @@ fn run() -> Result<(), EnpropError> {
     let a9: u32 = parse_num(&args, "--a9")?.unwrap_or(32);
     let k10: u32 = parse_num(&args, "--k10")?.unwrap_or(12);
     let scale: f64 = parse_num(&args, "--scale")?.unwrap_or(0.2);
-    if let Some(n) = parse_num::<usize>(&args, "--threads")? {
+    let cap = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if let Some(n) = requested_threads(&args, |var| std::env::var(var).ok(), cap)? {
         enprop_explore::set_eval_threads(n);
     }
     diag::info(format!(
@@ -510,4 +546,73 @@ fn write_outputs(ctx: &ObsCtx) -> Result<(), EnpropError> {
         diag::info(format!("wrote metrics snapshot to {}", path.display()));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn no_env(_: &str) -> Option<String> {
+        None
+    }
+
+    #[test]
+    fn thread_flag_within_the_cap_is_pinned() {
+        let got = requested_threads(&args(&["footnote4", "--threads", "2"]), no_env, 2);
+        assert_eq!(got, Ok(Some(2)));
+        assert_eq!(
+            requested_threads(&args(&["footnote4"]), no_env, 2),
+            Ok(None)
+        );
+        // 0 keeps the host default, as `set_eval_threads(0)` documents.
+        let zero = requested_threads(&args(&["footnote4", "--threads", "0"]), no_env, 2);
+        assert_eq!(zero, Ok(None));
+    }
+
+    #[test]
+    fn thread_flag_above_the_cap_exits_2_and_names_it() {
+        let err =
+            requested_threads(&args(&["footnote4", "--threads", "100000"]), no_env, 2).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        let text = err.to_string();
+        assert!(
+            text.contains("--threads") && text.contains("100000"),
+            "{text}"
+        );
+        assert!(text.contains("available parallelism of 2"), "{text}");
+        let bad = requested_threads(&args(&["footnote4", "--threads", "many"]), no_env, 2);
+        assert_eq!(bad.unwrap_err().exit_code(), 2);
+    }
+
+    #[test]
+    fn thread_env_is_capped_in_the_pools_order() {
+        let env = |pairs: &'static [(&'static str, &'static str)]| {
+            move |var: &str| {
+                pairs
+                    .iter()
+                    .find(|(k, _)| *k == var)
+                    .map(|(_, v)| v.to_string())
+            }
+        };
+        let none = args(&["space"]);
+        let over = requested_threads(&none, env(&[("ENPROP_THREADS", "100000")]), 4).unwrap_err();
+        assert_eq!(over.exit_code(), 2);
+        assert!(over.to_string().contains("ENPROP_THREADS"), "{over}");
+        let over = requested_threads(&none, env(&[("RAYON_NUM_THREADS", "5")]), 4).unwrap_err();
+        assert!(over.to_string().contains("RAYON_NUM_THREADS"), "{over}");
+        // RAYON_NUM_THREADS wins over ENPROP_THREADS, as in the pool.
+        let both = env(&[("RAYON_NUM_THREADS", "3"), ("ENPROP_THREADS", "100000")]);
+        assert_eq!(requested_threads(&none, both, 4), Ok(Some(3)));
+        // Unparsable or zero values are skipped, as the pool skips them.
+        let skipped = env(&[("RAYON_NUM_THREADS", "0"), ("ENPROP_THREADS", "x")]);
+        assert_eq!(requested_threads(&none, skipped, 4), Ok(None));
+        // The flag overrides the environment.
+        let flagged = args(&["space", "--threads", "1"]);
+        let env_over = env(&[("ENPROP_THREADS", "100000")]);
+        assert_eq!(requested_threads(&flagged, env_over, 4), Ok(Some(1)));
+    }
 }

@@ -48,9 +48,11 @@ where
 
 /// The energy-deadline Pareto frontier of an evaluated configuration
 /// space: minimal (job time, job energy). Returned sorted by time
-/// ascending.
+/// ascending. Runs on the [`Frontier`] staircase through
+/// [`pareto_indices_staircase`], so it returns exactly the
+/// [`pareto_indices`] oracle's points, in its order.
 pub fn pareto_front(evald: &[EvaluatedConfig]) -> Vec<&EvaluatedConfig> {
-    pareto_indices(evald, |e| (e.job_time, e.job_energy))
+    pareto_indices_staircase(evald, |e| (e.job_time, e.job_energy))
         .into_iter()
         .map(|i| &evald[i])
         .collect()
@@ -70,16 +72,18 @@ pub struct FrontierPoint<P> {
 }
 
 /// An incremental Pareto staircase over two minimized keys — the
-/// O(n log n) twin of the [`pareto_indices`] oracle, and the data
-/// structure behind the streaming evaluator's dominance pruning.
+/// O(n log f) twin of the [`pareto_indices`] oracle, and the data
+/// structure behind both [`pareto_front`] and the streaming evaluator's
+/// dominance pruning.
 ///
 /// **Invariant**: points are sorted by `t` ascending; across *distinct*
 /// `t` values `e` is strictly decreasing; points exactly equal in both
 /// keys are all kept, adjacent, in insertion order. This mirrors the
 /// oracle's tie rule (equal points do not dominate each other), so a
-/// staircase fed every item of a slice keeps exactly the index set
-/// [`pareto_indices`] reports — pinned by [`pareto_indices_staircase`]'s
-/// cross-check test and the streaming proptests.
+/// staircase fed every item of a slice with finite keys other than
+/// `-0.0` keeps exactly the index set [`pareto_indices`] reports — pinned
+/// by [`pareto_indices_staircase`]'s cross-check tests and the streaming
+/// proptests.
 ///
 /// Every query is a binary search: because `e` decreases as `t`
 /// increases, the last point with `t' ≤ t` carries the *minimum* energy
@@ -181,11 +185,15 @@ impl<P> Frontier<P> {
 }
 
 /// [`pareto_indices`] computed through the incremental [`Frontier`]
-/// staircase — same index set, same output order, O(n log n) with
-/// amortized O(1) evictions. The sort-sweep oracle stays authoritative;
-/// this twin exists because the streaming path needs *incremental*
-/// membership (points arrive one chunk at a time and prune later work),
-/// and the cross-check test pins the two to exact agreement.
+/// staircase — same index set, same output order, O(n log f) for a
+/// frontier of f points. One in-order pass leaves the staircase sorted
+/// by time with exact duplicates in index order, which is the oracle's
+/// stable-sort order, so no final sort is needed.
+///
+/// The staircase compares keys with `<` and `==`, the oracle sorts them
+/// with `total_cmp`; the two orders agree on every finite key except
+/// `-0.0`. An input with a NaN, infinite or `-0.0` key is therefore
+/// routed to the oracle whole, and the result still equals it.
 pub fn pareto_indices_staircase<T, F>(items: &[T], key: F) -> Vec<usize>
 where
     F: Fn(&T) -> (f64, f64),
@@ -193,22 +201,22 @@ where
     let mut frontier = Frontier::new();
     for (i, item) in items.iter().enumerate() {
         let (t, e) = key(item);
+        if !(ordered_like_the_oracle(t) && ordered_like_the_oracle(e)) {
+            return pareto_indices(items, key);
+        }
         let _ = frontier.insert(t, e, i);
     }
-    let mut out: Vec<(f64, f64, usize)> = frontier
+    frontier
         .into_points()
         .into_iter()
-        .map(|p| (p.t, p.e, p.payload))
-        .collect();
-    // The oracle emits duplicates in original-index order (stable sort);
-    // the staircase keeps them in insertion order, which for a single
-    // in-order pass is the same — the sort makes it explicit.
-    out.sort_by(|a, b| {
-        a.0.total_cmp(&b.0)
-            .then(a.1.total_cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-    out.into_iter().map(|(_, _, i)| i).collect()
+        .map(|p| p.payload)
+        .collect()
+}
+
+/// Whether `<`/`==` order `k` against any other such key exactly as
+/// `total_cmp` does: finite and not `-0.0`.
+fn ordered_like_the_oracle(k: f64) -> bool {
+    k.is_finite() && !(k == 0.0 && k.is_sign_negative())
 }
 
 #[cfg(test)]

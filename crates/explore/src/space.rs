@@ -14,6 +14,7 @@
 use crate::cache::{CacheStats, EvalCache};
 use enprop_clustersim::{ClusterSpec, NodeGroup, SwitchOverhead};
 use enprop_core::ClusterModel;
+use enprop_faults::EnpropError;
 use enprop_nodesim::NodeSpec;
 use enprop_workloads::Workload;
 use rayon::prelude::*;
@@ -156,6 +157,13 @@ pub fn count_configurations(types: &[TypeSpace]) -> u64 {
 /// (odometer) order. The iterator reports an exact `size_hint`, so the
 /// thread pool chunks it deterministically and downstream collectors can
 /// pre-size.
+///
+/// Every group choice is validated here, once, so the iterator builds each
+/// `ClusterSpec` without re-validating its groups.
+///
+/// # Panics
+/// Panics with `ClusterSpec::new`'s message when a type's spec yields an
+/// invalid operating point (say, a NaN DVFS level).
 pub fn configurations(types: &[TypeSpace]) -> Configurations {
     // Per-type choice lists: None (absent) or Some(group). Groups share
     // the type's NodeSpec allocation via Arc.
@@ -165,13 +173,17 @@ pub fn configurations(types: &[TypeSpace]) -> Configurations {
         for n in 1..=t.max_nodes {
             for c in 1..=t.spec.cores {
                 for &f in &t.spec.frequencies {
-                    opts.push(Some(NodeGroup {
+                    let group = NodeGroup {
                         spec: Arc::clone(&t.spec),
                         count: n,
                         cores: c,
                         freq: f,
                         switch: t.switch,
-                    }));
+                    };
+                    if let Err(e) = group.validate() {
+                        panic!("{}", EnpropError::InvalidConfig(e));
+                    }
+                    opts.push(Some(group));
                 }
             }
         }
@@ -188,6 +200,7 @@ pub fn configurations(types: &[TypeSpace]) -> Configurations {
 /// The streaming iterator behind [`configurations`].
 #[derive(Debug, Clone)]
 pub struct Configurations {
+    /// Per-type choices, each already validated by [`configurations`].
     choices: Vec<Vec<Option<NodeGroup>>>,
     idx: Vec<usize>,
     remaining: u64,
@@ -202,12 +215,12 @@ impl Iterator for Configurations {
             if self.done {
                 return None;
             }
-            let groups: Vec<NodeGroup> = self
-                .idx
-                .iter()
-                .enumerate()
-                .filter_map(|(ti, &ci)| self.choices[ti][ci].clone())
-                .collect();
+            let mut groups = Vec::with_capacity(self.choices.len());
+            for (choices, &ci) in self.choices.iter().zip(&self.idx) {
+                if let Some(g) = &choices[ci] {
+                    groups.push(g.clone());
+                }
+            }
             // Odometer increment.
             let mut t = 0;
             loop {
@@ -224,7 +237,8 @@ impl Iterator for Configurations {
             }
             if !groups.is_empty() {
                 self.remaining -= 1;
-                return Some(ClusterSpec::new(groups));
+                // Every group passed validation in `configurations`.
+                return Some(ClusterSpec { groups });
             }
         }
     }

@@ -7,9 +7,10 @@
 //! materialized sweep; and the frontier merge that stitches worker
 //! shards together is order-independent.
 
+use enprop_clustersim::ClusterSpec;
 use enprop_explore::{
-    configurations, evaluate_space_with, pareto_indices, pareto_indices_staircase,
-    stream_pareto_front, EvalOptions, Frontier, StreamOptions, TypeSpace,
+    configurations, evaluate_space_with, pareto_front, pareto_indices, pareto_indices_staircase,
+    stream_pareto_front, EvalOptions, EvaluatedConfig, Frontier, StreamOptions, TypeSpace,
 };
 use enprop_workloads::catalog;
 use proptest::prelude::*;
@@ -143,6 +144,47 @@ proptest! {
         let fast = pareto_indices_staircase(&pts, |&(t, e)| (t, e));
         let slow = pareto_indices(&pts, |&(t, e)| (t, e));
         prop_assert_eq!(fast, slow);
+    }
+
+    /// `pareto_front` (the staircase) returns the oracle's index set in
+    /// the oracle's order, on keys drawn from a small palette so exact
+    /// duplicates abound. Palette 0 is finite and exercises the staircase
+    /// itself; palette 1 mixes `0.0` with `-0.0` and palette 2 adds `±inf`
+    /// and `NaN`, both of which route the input to the oracle.
+    #[test]
+    fn pareto_front_equals_the_oracle_on_duplicates_and_non_finite_keys(
+        picks in proptest::collection::vec((0usize..8, 0usize..8), 0..120),
+        palette in 0usize..3,
+    ) {
+        const INF: f64 = f64::INFINITY;
+        let palette: &[f64] = match palette {
+            0 => &[1.0, 0.25, 2.0, 0.0, 0.5],
+            1 => &[0.0, -0.0, 1.0, 0.5],
+            _ => &[1.0, 0.0, -0.0, INF, -INF, f64::NAN, -f64::NAN, 0.5],
+        };
+        let keys: Vec<(f64, f64)> = picks
+            .iter()
+            .map(|&(t, e)| (palette[t % palette.len()], palette[e % palette.len()]))
+            .collect();
+        let oracle = pareto_indices(&keys, |&k| k);
+        prop_assert_eq!(&pareto_indices_staircase(&keys, |&k| k), &oracle);
+        let cluster = ClusterSpec::a9_k10(1, 0);
+        let evald: Vec<EvaluatedConfig> = keys
+            .iter()
+            .map(|&(t, e)| EvaluatedConfig {
+                cluster: cluster.clone(),
+                job_time: t,
+                job_energy: e,
+                busy_power_w: 0.0,
+                idle_power_w: 0.0,
+                nameplate_w: 0.0,
+            })
+            .collect();
+        let front: Vec<usize> = pareto_front(&evald)
+            .into_iter()
+            .map(|p| evald.iter().position(|x| std::ptr::eq(x, p)).unwrap())
+            .collect();
+        prop_assert_eq!(front, oracle);
     }
 
     #[test]

@@ -589,12 +589,19 @@ impl<'a> Controller<'a> {
 
     /// Livelock guard: generous, scales with work actually admitted so a
     /// 10^6-request replay is fine while a same-instant event loop trips.
+    /// Saturating: a clock or a count restored from a checkpoint can be
+    /// large enough to overflow the products.
     fn event_budget(&self) -> u64 {
         let cadence = TICK_S.min(HEALTH_INTERVAL_S);
-        let recurring = (self.now / cadence) as u64 + 1;
-        let windows = (self.now / self.cfg.fault_window_s) as u64 + 1;
-        let per_node = (self.nodes.len() as u64) * windows * 80;
-        100_000 + 300 * self.tally.arrivals + 8 * recurring + per_node
+        let recurring = ((self.now / cadence) as u64).saturating_add(1);
+        let windows = ((self.now / self.cfg.fault_window_s) as u64).saturating_add(1);
+        let per_node = (self.nodes.len() as u64)
+            .saturating_mul(windows)
+            .saturating_mul(80);
+        100_000u64
+            .saturating_add(self.tally.arrivals.saturating_mul(300))
+            .saturating_add(recurring.saturating_mul(8))
+            .saturating_add(per_node)
     }
 
     fn done(&self) -> bool {

@@ -327,6 +327,11 @@ pub(crate) fn serialize(
 
 // ---- parsing ---------------------------------------------------------------
 
+/// Upper bound on every restored run counter (2^53, past which a count
+/// no longer converts to `f64` exactly). No run gets near it, and below
+/// it the counters can keep incrementing without overflow.
+const MAX_RESTORED_COUNT: u64 = 1 << 53;
+
 fn snap_err(lineno: usize, msg: impl std::fmt::Display) -> EnpropError {
     EnpropError::invalid_config(format!("snapshot line {lineno}: {msg}"))
 }
@@ -395,6 +400,21 @@ impl<'a> Line<'a> {
             Ok(v)
         } else {
             Err(snap_err(self.no, format!("\"{key}\" out of range: {v}")))
+        }
+    }
+
+    /// A run counter, at most [`MAX_RESTORED_COUNT`]: the resumed run
+    /// keeps counting with `+= 1`, which a restored `u64::MAX` would
+    /// overflow.
+    fn count(&self, key: &str) -> Result<u64, EnpropError> {
+        let v = self.u64(key)?;
+        if v <= MAX_RESTORED_COUNT {
+            Ok(v)
+        } else {
+            Err(snap_err(
+                self.no,
+                format!("\"{key}\" out of range: {v} > 2^53"),
+            ))
         }
     }
 
@@ -713,8 +733,8 @@ pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, En
     if !c.now.is_finite() || c.now < 0.0 {
         return Err(snap_err(1, format!("clock {} out of range", c.now)));
     }
-    c.seq = header.u64("seq")?;
-    c.events = header.u64("events")?;
+    c.seq = header.count("seq")?;
+    c.events = header.count("events")?;
 
     let mut source: Option<SourceState> = None;
     let mut counters: Vec<(String, u64)> = Vec::new();
@@ -730,11 +750,11 @@ pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, En
         *seen.entry(sec).or_insert(0) += 1;
         match sec {
             "ctl" => {
-                c.next_req_id = l.u64("next_req_id")?;
+                c.next_req_id = l.count("next_req_id")?;
                 c.arrivals_done = l.flag("arrivals_done")?;
                 c.drain_armed = l.flag("drain_armed")?;
                 c.shed_mode = l.flag("shed_mode")?;
-                c.shed_entries = l.u64("shed_entries")?;
+                c.shed_entries = l.count("shed_entries")?;
                 c.cooldown = l.int("cooldown")?;
                 c.window_arrival_ops = l.f64("window_arrival_ops")?;
                 c.resp_sum = l.f64("resp_sum")?;
@@ -743,7 +763,7 @@ pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, En
                 c.emergency_level = l.int("em_level")?;
                 c.shed_class_floor = l.int("class_floor")?;
                 for (key, v) in c.tally.counters_mut() {
-                    *v = l.u64(key)?;
+                    *v = l.count(key)?;
                 }
             }
             "cnt" => counters.push((l.str("name")?.to_string(), l.u64("total")?)),

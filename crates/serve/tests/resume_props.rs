@@ -332,6 +332,52 @@ fn series_geometry_mismatch_is_a_typed_error() {
     }
 }
 
+/// A checkpoint whose run counters are large enough to overflow the
+/// resumed run — `300 * n_arrivals` in the livelock guard, or `+= 1` on a
+/// counter at `u64::MAX` — is a typed configuration error (exit 2), not
+/// an arithmetic panic (debug) or a silent wrap (release).
+#[test]
+fn overflowing_restored_counters_are_typed_errors() {
+    let s = scenario(7, 2, 200, 10.0, 60.0);
+    let full = run(&s, None);
+    let snap = full.checkpoints.first().expect("at least one checkpoint");
+    // (line marker; "" is the header line, field, value)
+    let cases = [
+        ("\"sec\":\"ctl\",", "n_arrivals", 70_000_000_000_000_000),
+        ("\"sec\":\"ctl\",", "n_arrivals", u64::MAX),
+        ("\"sec\":\"ctl\",", "n_completions", u64::MAX),
+        ("\"sec\":\"ctl\",", "next_req_id", u64::MAX),
+        ("", "events", u64::MAX),
+        ("", "seq", u64::MAX),
+    ];
+    for (marker, key, value) in cases {
+        let corrupt: String = snap
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                let hit = if marker.is_empty() {
+                    i == 0
+                } else {
+                    l.contains(marker)
+                };
+                if hit {
+                    set_field(l, key, value)
+                } else {
+                    l.to_string()
+                }
+            })
+            .map(|l| l + "\n")
+            .collect();
+        assert_ne!(&corrupt, snap, "{key} must occur in the checkpoint");
+        let Err(err) = try_resume(&s, &corrupt) else {
+            panic!("{key} = {value} must not resume");
+        };
+        assert_eq!(err.exit_code(), 2, "InvalidConfig → exit 2: {err}");
+        assert!(err.to_string().contains(key), "{err}");
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+}
+
 /// A snapshot resumed against the wrong seed is rejected up front.
 #[test]
 fn wrong_seed_is_rejected() {

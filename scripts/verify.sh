@@ -70,21 +70,30 @@ obs_smoke() {
 # Perf regression gate for the evaluation pipeline (DESIGN.md §12, §17):
 # perf_smoke appends BENCH_space_eval.json and exits 1 if the optimized
 # path regresses past the sequential baseline or streaming loses its 2x
-# edge at 10^6 configs. The streamed sweep's new row may then cost at most
-# 3x the best previously recorded space_eval.stream_pruned run (skipped
-# until history exists).
+# edge at 10^6 configs. The new space_eval.stream_pruned (streamed sweep)
+# and space_eval.sweep_cached_fn4 (materialized footnote-4 sweep + front)
+# rows may then each cost at most 3x the best previously recorded run of
+# the same row (skipped until history exists).
 perf_smoke() {
     cargo run --release --offline -p enprop-bench --bin perf_smoke
-    rows="$(sed -n 's/.*"cmd":"space_eval\.stream_pruned","wall_ms":\([0-9.][0-9.]*\).*/\1/p' \
+    for row in stream_pruned sweep_cached_fn4; do
+        trajectory "$row"
+    done
+}
+
+# trajectory ROW: the newest space_eval.ROW wall time in
+# BENCH_space_eval.json must be at most 3x the best earlier one.
+trajectory() {
+    rows="$(sed -n "s/.*\"cmd\":\"space_eval\.$1\",\"wall_ms\":\([0-9.][0-9.]*\).*/\1/p" \
         BENCH_space_eval.json)"
     if [ "$(printf '%s\n' "$rows" | grep -c .)" -ge 2 ]; then
         newest="$(printf '%s\n' "$rows" | tail -1)"
         best="$(printf '%s\n' "$rows" | sed '$d' | sort -g | head -1)"
         if [ "$(awk -v n="$newest" -v b="$best" 'BEGIN { print (n <= 3 * b) ? 1 : 0 }')" != 1 ]; then
-            echo "perf-smoke: stream_pruned regressed: ${newest} ms > 3x best ${best} ms" >&2
+            echo "perf-smoke: $1 regressed: ${newest} ms > 3x best ${best} ms" >&2
             exit 1
         fi
-        echo "perf trajectory: stream_pruned ${newest} ms (best recorded ${best} ms)"
+        echo "perf trajectory: $1 ${newest} ms (best recorded ${best} ms)"
     fi
 }
 
